@@ -115,6 +115,99 @@ def test_persisted_df_tracks_extend_and_compact(corpora, tmp_path,
     assert load_global_df(idx).equals(meta_df(idx))
 
 
+def _assert_fsck_clean(root):
+    from ts_type_filter_ray.pipelines.fsck import fsck_index
+    report = fsck_index(root).to_pylist()[0]
+    assert report["ok"], report
+    assert report["stats_consistent"], report
+    assert report["df_files_consistent"], report
+
+
+def test_extend_leaving_most_buckets_untouched(corpora, tmp_path,
+                                               ray_session):
+    """One-doc, one-term batches touch a single term bucket each; the
+    other buckets still own vocabulary, so the extension's counts must
+    still cover them — equal to a fresh build over the union, before and
+    after compaction."""
+    import shutil
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from ts_type_filter_ray.pipelines.build import compact_index
+
+    a, _, c, _ = corpora
+    # one directory, so the sorted file order (= doc_id order) of the
+    # fresh build is base files, then the batches in extension order
+    base = []
+    for i, f in enumerate(a):
+        base.append(str(tmp_path / f"a{i}.parquet"))
+        shutil.copy(f, base[-1])
+    row = pq.read_table(c[0]).slice(0, 1)
+    col = row.schema.get_field_index("content")
+    batches = []
+    for i, word in enumerate(["zzyzxterm", "qwxyzzyterm"]):
+        batches.append(str(tmp_path / f"b{i}.parquet"))
+        pq.write_table(row.set_column(col, "content", pa.array(
+            [word], type=row.schema.field("content").type)), batches[-1])
+
+    full = build_index(read_corpus(base + batches), str(tmp_path / "full"))
+    root = str(tmp_path / "inc")
+    build_index(read_corpus(base), root)
+    for batch in batches:
+        inc = extend_index(root, read_corpus([batch]))
+        _assert_fsck_clean(root)
+    assert (inc.stats.num_unique_terms, inc.stats.num_postings) == \
+           (full.stats.num_unique_terms, full.stats.num_postings)
+
+    compact_index(root)
+    _assert_fsck_clean(root)
+    buckets = sorted(os.listdir(full.postings_dir))
+    assert sorted(os.listdir(os.path.join(root, "postings"))) == buckets
+    for d in buckets:
+        got, want = (
+            pq.read_table(os.path.join(r, "postings", d, "merged.parquet"))
+            .sort_by([("term", "ascending"), ("part", "ascending")])
+            for r in (root, full.root))
+        assert got.equals(want), d
+
+
+def test_extend_honours_stopwords(corpora, tmp_path, ray_session):
+    """A stopworded build extended with the same stopwords equals a
+    stopworded fresh build over the union: statistics, match and BM25."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    def ds(texts):
+        return rd.from_arrow(pa.table({
+            "doc_id": pa.array(range(len(texts)), type=pa.int64()),
+            "content": pa.array(texts, type=pa.large_string())}))
+
+    stop = {"the", "and"}
+    root = str(tmp_path / "tiny")
+    build_index(ds(["the cat and the dog", "a bird"]), root, stopwords=stop)
+    inc = extend_index(root, ds(["the fish"]), stopwords=stop)
+    fresh = build_index(ds(["the cat and the dog", "a bird", "the fish"]),
+                        str(tmp_path / "tiny_full"), stopwords=stop)
+    assert inc.stats.total_doc_len == fresh.stats.total_doc_len == 5
+    assert LocalSearcher(inc).match("the").size == 0
+
+    a, b, _, _ = corpora
+    stop = {"import", "def", "return", "self"}
+    full = build_index(read_corpus(a + b), str(tmp_path / "full"),
+                       stopwords=stop)
+    build_index(read_corpus(a), str(tmp_path / "inc"), stopwords=stop)
+    inc = extend_index(str(tmp_path / "inc"), read_corpus(b),
+                       stopwords=stop)
+    assert (inc.stats.num_documents, inc.stats.total_doc_len,
+            inc.stats.num_unique_terms, inc.stats.num_postings) == \
+           (full.stats.num_documents, full.stats.total_doc_len,
+            full.stats.num_unique_terms, full.stats.num_postings)
+    sa, sb = LocalSearcher(inc), LocalSearcher(full)
+    assert sa.match("import").size == 0
+    _assert_equal_searchers(sa, sb)
+
+
 def test_maybe_compact_policy(ray_session, tmp_path):
     """Tiered policy: metadata-only no-op below both thresholds,
     compacts past the segment cap, and result equals an eager

@@ -1,7 +1,7 @@
 """Posting-list codec: round-trip, edge values, delta encoding."""
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ts_type_filter_ray.state.postings import (decode_doc_ids, decode_varints,
@@ -100,3 +100,22 @@ def test_decode_varints_column_matches_rowwise():
             got = flat[off[i]:off[i + 1]]
             exp = plib.decode_doc_ids(enc_ids[i])
             assert (got == exp).all()
+
+
+@given(st.lists(st.lists(st.integers(min_value=0, max_value=2**62),
+                         min_size=1, max_size=80), max_size=20))
+@example([[0]])
+@example([[2**62], [1], [127], [128]])
+def test_encode_varints_sliced_matches_per_run(runs):
+    """One whole-array encode cut at the run starts equals encoding each
+    run on its own, run by run and byte for byte (runs above ``_SMALL``
+    values exercise encode_varints' numpy path)."""
+    import pyarrow as pa
+
+    from ts_type_filter_ray.state.postings import encode_varints_sliced
+
+    flat = np.array([v for r in runs for v in r], dtype=np.int64)
+    starts = np.cumsum([0] + [len(r) for r in runs])[:-1]
+    out = encode_varints_sliced(flat, starts)
+    assert out.type == pa.large_binary()
+    assert out.to_pylist() == [encode_varints(r) for r in runs]

@@ -69,3 +69,41 @@ def test_python_breaker_path_agrees(ray_session, tmp_path_factory):
     sp = LocalSearcher(py, stemmer=identity_stemmer)
     for q in ["spark", "guide shuffle", "the", "planner engine"]:
         assert sv.match(q).tolist() == sp.match(q).tolist(), q
+
+
+_ONE_CPU_SCRIPT = """
+import sys
+import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+from ts_type_filter_ray.pipelines.build import build_index, extend_index
+from ts_type_filter_ray.sources.corpus import read_corpus
+d = sys.argv[1]
+pq.write_table(pa.table({"content": ["the cat and the dog", "a bird"]}),
+               d + "/a.parquet")
+pq.write_table(pa.table({"content": ["the fish"]}), d + "/b.parquet")
+stop = {"the", "and"}
+build_index(read_corpus([d + "/a.parquet"]), d + "/idx", stopwords=stop)
+idx = extend_index(d + "/idx", read_corpus([d + "/b.parquet"]),
+                   stopwords=stop)
+print(idx.stats.num_documents, idx.stats.total_doc_len)
+"""
+
+
+def test_custom_tokenizer_path_finishes_on_one_cpu(tmp_path):
+    """The custom-tokenizer (stopword) path must not starve the corpus
+    read of its only CPU: a stopworded build + extend on a one-CPU Ray
+    cluster, from a Parquet corpus, finishes."""
+    import os
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=repo)
+    out = subprocess.run(
+        [sys.executable, "-c", _ONE_CPU_SCRIPT, str(tmp_path)], cwd=repo,
+        env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.split()[-2:] == ["3", "5"]

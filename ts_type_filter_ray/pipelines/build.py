@@ -114,7 +114,6 @@ def build_index(corpus: Dataset, out_dir: str, *,
                 doc_part_bits: int = DEFAULT_DOC_PART_BITS,
                 num_term_buckets: int = DEFAULT_TERM_BUCKETS,
                 tokenize_batch_size: int = 256,
-                tokenize_concurrency: int | tuple[int, int] | None = None,
                 breaker=None, stemmer=None, keep_partials: bool = False,
                 k1: float = BM25_K1, b: float = BM25_B,
                 stopwords=None) -> BuiltIndex:
@@ -146,29 +145,8 @@ def build_index(corpus: Dataset, out_dir: str, *,
     partials_dir = os.path.join(out_dir, "partials")
     shutil.rmtree(partials_dir, ignore_errors=True)
     t0 = time.perf_counter()
-    if breaker is None and stemmer is None and stopwords is None:
-        # default path: stateless task pool → the executor fuses
-        # read → tokenize → write into one task per block (partials never
-        # transit the object store, every CPU serves every stage)
-        from ..stages.tokenizer import tokenize_task
-        partials = corpus.map_batches(
-            tokenize_task,
-            fn_kwargs={"doc_part_bits": doc_part_bits,
-                       "num_term_buckets": num_term_buckets,
-                       "emit_meta": True},
-            batch_format="pyarrow",
-            batch_size=tokenize_batch_size)
-    else:
-        # opaque user callables / stopword set → actor pool (loaded
-        # once per actor)
-        partials = corpus.map_batches(
-            TokenizePartials,
-            fn_constructor_args=(doc_part_bits, num_term_buckets,
-                                 breaker, stemmer, True, stopwords),
-            batch_format="pyarrow",
-            batch_size=tokenize_batch_size,
-            concurrency=tokenize_concurrency or (1, 16))
-    partials.write_parquet(partials_dir, partition_cols=["bucket"])
+    _tokenize_spill(corpus, partials_dir, doc_part_bits, num_term_buckets,
+                    tokenize_batch_size, breaker, stemmer, stopwords)
     timings["tokenize_spill"] = time.perf_counter() - t0
 
     # docs table + global doc stats from the (small, content-free)
@@ -218,16 +196,17 @@ def build_index(corpus: Dataset, out_dir: str, *,
 
 def extend_index(root: str, new_corpus: Dataset, *,
                  tokenize_batch_size: int = 256,
-                 tokenize_concurrency: int | tuple[int, int] | None = None,
-                 breaker=None, stemmer=None) -> BuiltIndex:
+                 breaker=None, stemmer=None,
+                 stopwords=None) -> BuiltIndex:
     """Incrementally add *new_corpus* to an existing index — LSM-style:
     the old postings are untouched; the new documents tokenize + spill +
     merge into ONE new segment file per bucket
     (``postings/bucket=*/segment_<gen>.parquet``) and new docs shards
-    land beside the old ones. Cost is O(new corpus) tokenize + an
-    O(new postings) merge — never a re-tokenize or rewrite of the
-    existing index (tokenize dominates a build ~3:1, so extending with
-    10 % new docs costs ~10 % of a rebuild).
+    land beside the old ones. Tokenize and merge cost O(new docs) —
+    never a re-tokenize or rewrite of the existing index. One cost does
+    grow with the index: each touched bucket still reads its older
+    segments' ``(term, df)`` columns once, to refresh its
+    ``_df.parquet`` and count the bucket's vocabulary.
 
     Correctness under extension (all EXACT):
     - new docs get ids ``old_N + i`` (*new_corpus* must carry the dense
@@ -243,9 +222,9 @@ def extend_index(root: str, new_corpus: Dataset, *,
       a VALID upper bound via ``IndexStats.impact_correction``
       (tf_factor is increasing in avgdl at rate < linear).
 
-    Breaker/stemmer (and k1/b) must match the original build — they are
-    not serialized in the index, so the caller owns that contract (same
-    as ``LocalSearcher``)."""
+    Breaker/stemmer/stopwords (and k1/b) must match the original build —
+    they are not serialized in the index, so the caller owns that
+    contract (same as ``LocalSearcher``)."""
     import shutil
     import time
 
@@ -271,22 +250,9 @@ def extend_index(root: str, new_corpus: Dataset, *,
     partials_dir = os.path.join(root, f"partials_ext{gen}")
     shutil.rmtree(partials_dir, ignore_errors=True)
     t0 = time.perf_counter()
-    if breaker is None and stemmer is None:
-        from ..stages.tokenizer import tokenize_task
-        partials = shifted.map_batches(
-            tokenize_task,
-            fn_kwargs={"doc_part_bits": st.doc_part_bits,
-                       "num_term_buckets": st.num_term_buckets,
-                       "emit_meta": True},
-            batch_format="pyarrow", batch_size=tokenize_batch_size)
-    else:
-        partials = shifted.map_batches(
-            TokenizePartials,
-            fn_constructor_args=(st.doc_part_bits, st.num_term_buckets,
-                                 breaker, stemmer, True),
-            batch_format="pyarrow", batch_size=tokenize_batch_size,
-            concurrency=tokenize_concurrency or (1, 16))
-    partials.write_parquet(partials_dir, partition_cols=["bucket"])
+    _tokenize_spill(shifted, partials_dir, st.doc_part_bits,
+                    st.num_term_buckets, tokenize_batch_size,
+                    breaker, stemmer, stopwords)
     timings["tokenize_spill"] = time.perf_counter() - t0
 
     meta_dir = os.path.join(partials_dir, "bucket=-1")
@@ -310,12 +276,20 @@ def extend_index(root: str, new_corpus: Dataset, *,
     # would short-circuit this run's merge and silently keep the old
     # attempt's data (possibly from a different corpus) — clear them
     _clear_generation(postings_dir, f"segment_{gen}")
-    merge_partial_buckets(
+    n_terms, n_postings = merge_partial_buckets(
         partials_dir, postings_dir, avgdl, st.k1, st.b,
         file_name=f"segment_{gen}.parquet")
-    # recount over EVERY bucket dir: a bucket whose terms got no new
-    # postings is untouched by the merge wave but still owns vocabulary
-    n_terms, n_postings = _count_all_buckets(postings_dir)
+    # each merge task counted its whole bucket (every segment); a bucket
+    # whose terms got no new postings is untouched by the merge wave but
+    # still owns vocabulary, so only those get a separate count
+    merged_dirs = {d for d in os.listdir(partials_dir)
+                   if d.startswith("bucket=") and d != "bucket=-1"}
+    untouched = [os.path.join(postings_dir, d)
+                 for d in sorted(os.listdir(postings_dir))
+                 if d.startswith("bucket=") and d not in merged_dirs]
+    u_terms, u_postings = _count_buckets(untouched)
+    n_terms += u_terms
+    n_postings += u_postings
     timings["merge"] = time.perf_counter() - t0
     shutil.rmtree(partials_dir, ignore_errors=True)
 
@@ -335,6 +309,35 @@ def extend_index(root: str, new_corpus: Dataset, *,
     with open(os.path.join(root, "stats.json"), "w") as f:
         json.dump(stats.__dict__, f, indent=1)
     return BuiltIndex(root=root, stats=stats, timings=timings)
+
+
+def _tokenize_spill(corpus: Dataset, partials_dir: str, doc_part_bits: int,
+                    num_term_buckets: int, batch_size: int,
+                    breaker, stemmer, stopwords) -> None:
+    """Tokenize *corpus* into partial posting rows plus doc-meta rows
+    and spill them under *partials_dir*, partitioned by term bucket.
+
+    Both forms run in the stateless task pool, so the executor fuses
+    read → tokenize → write into one task per block (partials never
+    transit the object store, every CPU serves every stage, and no CPU
+    is pinned to an actor that would starve the read on a one-CPU
+    cluster). The default breaker/stemmer with no stopwords uses the
+    per-worker ``tokenize_task`` singleton; opaque user callables or a
+    stopword set ship inside a ``TokenizePartials`` instance."""
+    if breaker is None and stemmer is None and stopwords is None:
+        from ..stages.tokenizer import tokenize_task
+        partials = corpus.map_batches(
+            tokenize_task,
+            fn_kwargs={"doc_part_bits": doc_part_bits,
+                       "num_term_buckets": num_term_buckets,
+                       "emit_meta": True},
+            batch_format="pyarrow", batch_size=batch_size)
+    else:
+        partials = corpus.map_batches(
+            TokenizePartials(doc_part_bits, num_term_buckets, breaker,
+                             stemmer, True, stopwords),
+            batch_format="pyarrow", batch_size=batch_size)
+    partials.write_parquet(partials_dir, partition_cols=["bucket"])
 
 
 def _clear_generation(postings_dir: str, stem: str) -> None:
@@ -477,9 +480,9 @@ def upsert_docs(root: str, replace_doc_ids, new_corpus: Dataset,
     readers holding old ids can still distinguish "deleted" from
     "replaced by". ``compact_index`` later purges the tombstones and
     recomputes statistics. *new_corpus* carries dense 0-based ids like
-    any corpus (extend shifts them past the ceiling). Breaker/stemmer
-    must match the original build (same contract as
-    ``extend_index``)."""
+    any corpus (extend shifts them past the ceiling).
+    Breaker/stemmer/stopwords (passed through to ``extend_index``) must
+    match the original build (same contract as ``extend_index``)."""
     ceiling = BuiltIndex.load(root).stats.next_doc_id
     ids = sorted(set(int(d) for d in replace_doc_ids))
     if ids and ids[-1] >= ceiling:
@@ -571,7 +574,8 @@ def _compact_one_bucket(dest: str, avgdl: float, k1: float,
         else:
             alive_rows = None
         partial = pa.table({
-            "bucket": pa.array([bucket] * rows.num_rows, type=pa.int32()),
+            "bucket": pa.array(np.full(rows.num_rows, bucket,
+                                       dtype=np.int32)),
             "term": rows["term"],
             "part": rows["part"],
             "doc_ids": pa.LargeListArray.from_arrays(
@@ -607,11 +611,14 @@ def _compact_one_bucket(dest: str, avgdl: float, k1: float,
                 os.remove(os.path.join(dest, f))
         for f in seg_files:
             os.remove(f)
+        fresh = ("merged.parquet", merged)
     elif not os.path.exists(tmp):
         raise FileNotFoundError(f"nothing to compact in {dest}")
+    else:
+        fresh = None  # finishing a crashed run: the tmp is read back
     os.replace(tmp, os.path.join(dest, "merged.parquet"))
     open(os.path.join(dest, "_SUCCESS"), "w").close()
-    return _count_one_bucket(dest)
+    return _count_one_bucket(dest, fresh)
 
 
 def compact_index(root: str) -> BuiltIndex:
@@ -701,7 +708,7 @@ def compact_index(root: str) -> BuiltIndex:
     return BuiltIndex(root=root, stats=stats)
 
 
-def _write_bucket_df(dest: str, term_df: "pa.Table") -> None:
+def _write_bucket_df(dest: str, term_df: "pa.Table") -> "pa.Table":
     """Persist the bucket's GLOBAL per-term df as ``_df.parquet``
     (term-ascending (term, df), df summed over every part and segment).
     A term lives in exactly one bucket, so concatenating these files
@@ -710,40 +717,48 @@ def _write_bucket_df(dest: str, term_df: "pa.Table") -> None:
     the full postings metadata (VERDICT r3 #5). The ``_`` prefix keeps
     the file invisible to the hive-partitioned postings dataset scan.
     Atomic (unique tmp + rename) and idempotent — concurrent recounts of
-    the same bucket write identical bytes."""
+    the same bucket write identical bytes. Returns the written table."""
     import pyarrow.parquet as pq
     agg = (term_df.group_by("term").aggregate([("df", "sum")])
            .rename_columns(["term", "df"]).sort_by("term"))
     tmp = os.path.join(dest, f"._df.{os.getpid()}.tmp")
     pq.write_table(agg, tmp)
     os.replace(tmp, os.path.join(dest, "_df.parquet"))
+    return agg
 
 
-def _count_one_bucket(dest: str) -> tuple[int, int]:
-    """(distinct terms, Σ df) over every segment file of one bucket dir —
-    column-pruned read of the two tiny dictionary-encoded columns. Also
-    refreshes the bucket's persisted ``_df.parquet`` from the same read
-    (the counting sites — merge, extend, compact, recount — are exactly
-    the moments the bucket's df table may have changed)."""
+def _count_one_bucket(dest: str, fresh=None) -> tuple[int, int]:
+    """(distinct terms, Σ df) over every segment file of one bucket dir,
+    from the two tiny dictionary-encoded ``(term, df)`` columns. Also
+    refreshes the bucket's persisted ``_df.parquet`` from the same
+    columns (the counting sites — merge, extend, compact, recount — are
+    exactly the moments the bucket's df table may have changed).
+
+    ``fresh = (file name, table)`` is a segment the caller has just
+    written: its columns come from that in-memory table, and only the
+    bucket's other segments are read."""
+    import pyarrow as pa
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
     seg_files = [os.path.join(dest, f) for f in sorted(os.listdir(dest))
                  if f.endswith(".parquet") and not f.startswith((".", "_"))]
-    tbl = pads.dataset(seg_files).to_table(columns=["term", "df"])
-    _write_bucket_df(dest, tbl)
-    return (int(pc.count_distinct(tbl["term"]).as_py()),
-            int(pc.sum(tbl["df"]).as_py() or 0))
+    parts = []
+    if fresh is not None:
+        name, tbl = fresh
+        seg_files.remove(os.path.join(dest, name))
+        parts.append(tbl.select(["term", "df"]))
+    if seg_files or fresh is None:
+        parts.append(pads.dataset(seg_files).to_table(columns=["term", "df"]))
+    agg = _write_bucket_df(dest, pa.concat_tables(parts))
+    return agg.num_rows, int(pc.sum(agg["df"]).as_py() or 0)
 
 
-def _count_all_buckets(postings_dir: str) -> tuple[int, int]:
-    """Parallel per-bucket (terms, postings) recount; sums are global
+def _count_buckets(bucket_dirs: list[str]) -> tuple[int, int]:
+    """Parallel per-bucket (terms, postings) count; sums are global
     because every term lives in exactly one bucket."""
     import ray
     task = ray.remote(_count_one_bucket)
-    refs = [task.remote(os.path.join(postings_dir, d))
-            for d in sorted(os.listdir(postings_dir))
-            if d.startswith("bucket=")]
-    results = ray.get(refs)
+    results = ray.get([task.remote(d) for d in bucket_dirs])
     return sum(r[0] for r in results), sum(r[1] for r in results)
 
 
@@ -782,6 +797,7 @@ def _merge_one_bucket(bucket_dirs: list[str], out_dir: str, bucket: int,
     distinct counts sum globally). Idempotent: writes to a temp file and
     renames; a per-segment ``_SUCCESS.<file>`` marker short-circuits
     re-runs."""
+    import numpy as np
     import pyarrow as pa
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
@@ -802,13 +818,14 @@ def _merge_one_bucket(bucket_dirs: list[str], out_dir: str, bucket: int,
     stem = file_name.rsplit(".", 1)[0]
     marker = os.path.join(dest, ("_SUCCESS" if file_name == "merged.parquet"
                                  else f"_SUCCESS.{stem}"))
+    fresh = None
     if not os.path.exists(marker):
         files = [os.path.join(d, f)
                  for d in bucket_dirs for f in sorted(os.listdir(d))
                  if f.endswith(".parquet")]
         part_tbl = pads.dataset(files).to_table()
-        part_tbl = part_tbl.append_column(
-            "bucket", pa.array([bucket] * part_tbl.num_rows, type=pa.int32()))
+        part_tbl = part_tbl.append_column("bucket", pa.array(
+            np.full(part_tbl.num_rows, bucket, dtype=np.int32)))
         merged = merge_bucket_table(part_tbl, avgdl, k1, b)
         merged = merged.drop_columns(["bucket"])  # hive dir carries it
         os.makedirs(dest, exist_ok=True)
@@ -816,14 +833,10 @@ def _merge_one_bucket(bucket_dirs: list[str], out_dir: str, bucket: int,
         pq.write_table(merged, tmp)
         os.replace(tmp, os.path.join(dest, file_name))
         open(marker, "w").close()
-    import pyarrow.compute as pc
-    seg_files = [os.path.join(dest, f) for f in sorted(os.listdir(dest))
-                 if f.endswith(".parquet") and not f.startswith((".", "_"))]
-    tbl = pads.dataset(seg_files).to_table(columns=["term", "df"])
-    _write_bucket_df(dest, tbl)  # persisted global df (VERDICT r3 #5)
-    n_terms = pc.count_distinct(tbl["term"]).as_py()
-    n_postings = pc.sum(tbl["df"]).as_py() or 0
-    return int(n_terms), int(n_postings)
+        fresh = (file_name, merged)
+    # persisted global df (VERDICT r3 #5); the segment just written is
+    # counted from memory, so only older segments are read
+    return _count_one_bucket(dest, fresh)
 
 
 def merge_partial_buckets(partials_dir: str, postings_dir: str,
@@ -955,7 +968,8 @@ def _merge_shards_one_bucket(srcs: list[tuple[str, int]], dest: str,
         pq.write_table(merged, tmp)
         os.replace(tmp, os.path.join(dest, "merged.parquet"))
         open(os.path.join(dest, "_SUCCESS"), "w").close()
-    return _count_one_bucket(dest) if partials else (0, 0)
+        return _count_one_bucket(dest, ("merged.parquet", merged))
+    return 0, 0
 
 
 def merge_index_roots(roots: list[str], out_dir: str) -> BuiltIndex:

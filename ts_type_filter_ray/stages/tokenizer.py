@@ -6,7 +6,7 @@ stateful ``map_batches`` stage over Arrow batches:
 
 - ``PrepDocs``: per-row sha256 (the `input_hint` per-row invariant) and
   ``doc_len`` (whitespace token count — BM25's dl).
-- ``TokenizePartials``: callable class for an actor pool; per batch it
+- ``TokenizePartials``: callable tokenizer run in the task pool; per batch it
   stems every token (stem cache shared across batches via the module-level
   lru_cache in :mod:`..text.porter2`) and emits **partial postings** —
   one row per (term, doc_partition) present in the batch, with parallel
@@ -47,7 +47,11 @@ def prep_docs(batch: pa.Table) -> pa.Table:
 
 
 class TokenizePartials:
-    """Actor-pool stage: (doc_id, content) batches → partial posting rows.
+    """Tokenize stage: (doc_id, content) batches → partial posting rows.
+
+    Runs in the fused task pool: the default form as the per-worker
+    ``tokenize_task`` singleton, a custom breaker/stemmer/stopword form
+    as an instance passed straight to ``map_batches``.
 
     Output schema:
       term:string, part:int32, bucket:int32, doc_ids:list<int64>,
@@ -83,12 +87,12 @@ class TokenizePartials:
         Lucene's StopFilter position in the chain: dropped after word
         breaking, before stemming) removes those tokens from postings
         AND from doc_len — a stopworded index behaves as if the words
-        were never written. The set is per-actor state (loaded once in
+        were never written. The set is per-instance state (built once in
         __init__), and on the vectorized path membership is tested once
         per UNIQUE batch token, never per posting."""
         self._part_bits = doc_part_bits
         self._num_buckets = num_term_buckets
-        # module-level lru_cache: hot vocab amortized per actor
+        # module-level lru_cache: hot vocab amortized per worker process
         self._stem = stemmer if stemmer is not None else stem
         self._break = breaker  # None → str.split fast path
         self._bucket_cache: dict[str, int] = {}
@@ -356,7 +360,6 @@ def merge_bucket_table(group: pa.Table, avgdl: float, k1: float,
     bucket = group["bucket"][0].as_py()
     enc = group["term"].combine_chunks().dictionary_encode()
     codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    vocab = enc.dictionary.to_pylist()
     parts = group["part"].to_numpy(zero_copy_only=False).astype(np.int64)
 
     dcol = group["doc_ids"].combine_chunks()
@@ -418,9 +421,10 @@ def merge_bucket_table(group: pa.Table, avgdl: float, k1: float,
     else:
         run_keys = key_rows[run_row_starts]
 
-    # whole-bucket vectorized encode: per-run byte slices of one LEB128
-    # pass; block-max via maximum.reduceat (bit-identical to the per-run
-    # max — IEEE max is order-free)
+    # whole-bucket vectorized encode: one LEB128 pass per column, cut at
+    # the run starts into a zero-copy binary array; block-max via
+    # maximum.reduceat (bit-identical to the per-run max — IEEE max is
+    # order-free)
     deltas = doc_s.astype(np.int64).copy()
     deltas[1:] -= doc_s[:-1]
     deltas[starts] = doc_s[starts]
@@ -431,17 +435,17 @@ def merge_bucket_table(group: pa.Table, avgdl: float, k1: float,
     dl_f = dl_s.astype(np.float64)
     contrib = tf_f * (k1 + 1.0) / (tf_f + k1 * (1.0 - b + b * dl_f / avgdl))
     imps = np.maximum.reduceat(contrib, starts)
-    terms_o = [vocab[c] for c in (run_keys >> np.int64(32)).tolist()]
+    terms_o = enc.dictionary.take(pa.array(run_keys >> np.int64(32)))
     parts_o = (run_keys & np.int64(0xFFFFFFFF)).astype(np.int32)
     dfs_o = ends - starts
     return pa.table({
-        "term": pa.array(terms_o, type=pa.string()),
+        "term": terms_o.cast(pa.string()),
         "part": pa.array(parts_o, type=pa.int32()),
-        "bucket": pa.array([bucket] * len(terms_o), type=pa.int32()),
+        "bucket": pa.array(np.full(len(run_keys), bucket, dtype=np.int32)),
         "df": pa.array(dfs_o, type=pa.int64()),
-        "doc_ids_enc": pa.array(d_enc, type=pa.large_binary()),
-        "tfs_enc": pa.array(t_enc, type=pa.large_binary()),
-        "dls_enc": pa.array(l_enc, type=pa.large_binary()),
+        "doc_ids_enc": d_enc,
+        "tfs_enc": t_enc,
+        "dls_enc": l_enc,
         "max_impact": pa.array(imps, type=pa.float64()),
     })
 

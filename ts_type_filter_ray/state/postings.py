@@ -124,18 +124,20 @@ def encode_doc_ids(doc_ids: np.ndarray) -> bytes:
     return encode_varints(deltas)
 
 
-def encode_varints_sliced(values: np.ndarray,
-                          starts: np.ndarray) -> list[bytes]:
-    """LEB128-encode one flat array in a single vectorized pass, then
-    slice the byte stream at the given run starts → one ``bytes`` per
-    run. Byte-identical to calling :func:`encode_varints` per run, but
-    the per-value work is one numpy pass over the whole bucket instead
-    of tens of thousands of per-run Python calls (the r1 merge hot
-    spot)."""
+def encode_varints_sliced(values: np.ndarray, starts: np.ndarray):
+    """LEB128-encode one flat array in a single vectorized pass and cut
+    the byte stream at the given run starts → a ``pa.LargeBinaryArray``
+    with one element per run, built zero-copy from the (byte offsets,
+    byte stream) pair. Element ``i`` is byte-identical to
+    :func:`encode_varints` over ``values[starts[i]:starts[i + 1]]``
+    (the last run ends at ``len(values)``), but the per-value work is
+    one numpy pass over the whole bucket, and no Python object is made
+    per run."""
+    import pyarrow as pa
     v = np.asarray(values, dtype=np.uint64)
     n = v.size
     if n == 0:
-        return []
+        return pa.array([], type=pa.large_binary())
     nb = np.ones(n, dtype=np.int64)
     for k in range(1, 10):
         nb += (v >= np.uint64(1 << (7 * k))).astype(np.int64)
@@ -147,9 +149,11 @@ def encode_varints_sliced(values: np.ndarray,
         & np.uint64(0x7F)
     is_last = np.arange(total, dtype=np.int64) == np.repeat(ends_b - 1, nb)
     buf = (groups | np.where(is_last, np.uint64(0), np.uint64(0x80))
-           ).astype(np.uint8).tobytes()
+           ).astype(np.uint8)
     bounds = np.append(starts_b[np.asarray(starts, dtype=np.int64)], total)
-    return [buf[bounds[i]:bounds[i + 1]] for i in range(len(starts))]
+    return pa.LargeBinaryArray.from_buffers(
+        pa.large_binary(), len(bounds) - 1,
+        [None, pa.py_buffer(bounds), pa.py_buffer(buf)])
 
 
 def decode_doc_ids(buf: bytes) -> np.ndarray:
