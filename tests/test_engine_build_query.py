@@ -402,41 +402,61 @@ def test_bm25_filtered_golden(sonnets_index, sonnets_oracle):
         assert s.bm25(q, k=5, allowed=np.empty(0, dtype=np.int64)) == []
 
 
-def test_tfidf_golden(sonnets_index, sonnets_corpus_dir):
+def test_tfidf_golden(sonnets_index, sonnets_corpus_dir, tmp_path_factory):
     """tf-idf top-k ≡ brute-force ln(N/df)·(1+ln tf) with ascending-term
-    accumulation and (score desc, doc_id asc) tie-break."""
+    accumulation and (score desc, doc_id asc) tie-break. A term in every
+    doc (df = N) contributes ln(1) = 0.0, and the docs it matches still
+    rank."""
     import math
 
+    import pyarrow as pa
     import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
     from collections import Counter
 
     from ts_type_filter_ray.text.porter2 import stem
 
-    s = LocalSearcher(sonnets_index)
-    tbl = pads.dataset(sonnets_corpus_dir).to_table()
-    contents = tbl["content"].to_pylist()
-    doc_tf = [Counter(stem(w) for w in c.split()) for c in contents]
-    df = Counter(t for tf in doc_tf for t in tf)
-    n = len(contents)
-
-    for q in ("fire heat", "same", "fire zzznohit",
-              "thrall quench fire heat", "w1z"):
-        stems = query_stems(q)
-        scores = {}
-        for t in stems:  # ascending stems: left-fold order
-            if t not in df:
-                continue
-            idf = math.log(n / df[t])
-            for d, tf in enumerate(doc_tf):
-                if t in tf:
-                    scores[d] = scores.get(d, 0.0) + idf * (
-                        1.0 + math.log(tf[t]))
-        want = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
-        got = s.tfidf(q, k=10)
-        assert [d for d, _ in got] == [d for d, _ in want], q
-        assert np.allclose([sc for _, sc in got], [sc for _, sc in want],
-                           rtol=1e-12, atol=0.0), q
-    assert s.tfidf("zzznohit") == []
+    every = ["alpha common", "common beta beta", "common", "gamma common"]
+    d = tmp_path_factory.mktemp("tfidf_df_n_corpus")
+    pq.write_table(pa.table({"content": pa.array(every,
+                                                 type=pa.large_string())}),
+                   str(d / "part-00000.parquet"))
+    df_n_index = build_index(read_corpus(str(d)),
+                             str(tmp_path_factory.mktemp("tfidf_df_n")),
+                             doc_part_bits=1, num_term_buckets=2)
+    sonnets = pads.dataset(sonnets_corpus_dir).to_table()
+    cases = [
+        (sonnets_index, sonnets["content"].to_pylist(),
+         ("fire heat", "same", "fire zzznohit", "thrall quench fire heat",
+          "w1z")),
+        (df_n_index, every, ("common", "common alpha", "beta common")),
+    ]
+    for index, contents, queries in cases:
+        s = LocalSearcher(index)
+        doc_tf = [Counter(stem(w) for w in c.split()) for c in contents]
+        df = Counter(t for tf in doc_tf for t in tf)
+        n = len(contents)
+        for q in queries:
+            stems = query_stems(q)
+            scores = {}
+            for t in stems:  # ascending stems: left-fold order
+                if t not in df:
+                    continue
+                idf = math.log(n / df[t])
+                for doc, tf in enumerate(doc_tf):
+                    if t in tf:
+                        scores[doc] = scores.get(doc, 0.0) + idf * (
+                            1.0 + math.log(tf[t]))
+            want = sorted(scores.items(),
+                          key=lambda kv: (-kv[1], kv[0]))[:10]
+            got = s.tfidf(q, k=10)
+            assert [doc for doc, _ in got] == [doc for doc, _ in want], q
+            assert np.allclose([sc for _, sc in got],
+                               [sc for _, sc in want],
+                               rtol=1e-12, atol=0.0), q
+        assert s.tfidf("zzznohit") == []
+    assert (LocalSearcher(df_n_index).tfidf("common")
+            == [(0, 0.0), (1, 0.0), (2, 0.0), (3, 0.0)])
 
 
 def test_bm25_boosts(sonnets_index):

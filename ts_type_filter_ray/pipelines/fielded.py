@@ -42,8 +42,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
 
-from .build import BuiltIndex, build_index
-from .query import LocalSearcher, query_stems
+from .build import BuiltIndex, build_index, sorted_member_mask
+from .query import LocalSearcher, check_k, query_stems, top_k
 
 __all__ = [
     "derive_title_body",
@@ -191,6 +191,8 @@ class FieldedSearcher:
 
     def bm25f(self, query, k: int = 10) -> list[tuple[int, float]]:
         """Top-k (doc_id, score), tie-break (score desc, doc_id asc)."""
+        if not check_k(k):
+            return []
         stems = query_stems(query, self._stemmer, self._breaker)
         per_term: list[tuple[np.ndarray, np.ndarray]] = []
         for t in stems:  # ascending term order (query_stems sorts)
@@ -225,24 +227,6 @@ class FieldedSearcher:
         sums = np.zeros(g.size, dtype=np.float64)
         for u, c in per_term:  # ascending-term left fold, ≤1 hit per term
             sums[np.searchsorted(g, u)] += c
-        dead = self._dead()
-        if dead.size:
-            pos = np.searchsorted(dead, g)
-            alive = ((pos >= dead.size)
-                     | (dead[np.minimum(pos, dead.size - 1)] != g))
-            g, sums = g[alive], sums[alive]
-        if g.size == 0:
-            return []
-        if g.size > k:
-            # argpartition narrows to the k best, then the exact
-            # (score desc, doc_id asc) lexsort runs only over candidates
-            # ≥ the k-th score so ties survive (same discipline as
-            # LocalSearcher.bm25)
-            kth = np.argpartition(-sums, k - 1)[:k]
-            thresh = sums[kth].min()
-            cand = np.flatnonzero(sums >= thresh)
-            sel = np.lexsort((g[cand], -sums[cand]))[:k]
-            return list(zip(g[cand][sel].tolist(),
-                            sums[cand][sel].tolist()))
-        sel = np.lexsort((g, -sums))
-        return list(zip(g[sel].tolist(), sums[sel].tolist()))
+        alive = ~sorted_member_mask(self._dead(), g)
+        ids, scores = top_k(g[alive], sums[alive], k)
+        return list(zip(ids.tolist(), scores.tolist()))

@@ -24,11 +24,18 @@ Bit-identical BM25 vs the oracle: contributions are accumulated in
 ascending term order with the same float64 expression shapes (see
 ``oracle/index.py::CorpusOracle.bm25``); ``avgdl`` derives from the same
 int sum / int count.
+
+The four ranked scorers (``bm25``, ``tfidf``, ``query_likelihood``,
+``query_likelihood_jm``) share one gather → fold → top-k core,
+:meth:`LocalSearcher._rank`; each scorer supplies only its per-row
+contribution (plus BM25's block-max bound and the QL normalizers). The
+bit-identity rules are written down once, in ``_rank``'s docstring.
+:func:`top_k` is the one (score desc, doc_id asc) selector, also used by
+the serving coordinator and the BM25F combiner.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import defaultdict
 
@@ -40,7 +47,7 @@ import pyarrow.dataset as pads
 from ..state import postings as plib
 from ..text.porter2 import stem
 from ..text.tokenize import break_on_whitespace
-from .build import BuiltIndex, term_bucket
+from .build import BuiltIndex, sorted_member_mask, term_bucket
 
 def query_stems(query, stemmer=None, breaker=None) -> list[str]:
     """Query → sorted distinct stems (mirrors ``inverted_index.py:87-92``;
@@ -77,6 +84,29 @@ def _tf_factor(tfs: np.ndarray, dls: np.ndarray, avgdl: float,
                k1: float, b: float) -> np.ndarray:
     # Same expression shape as oracle.bm25_tf_factor → bit-identical float64.
     return (tfs * (k1 + 1.0)) / (tfs + k1 * (1.0 - b + b * dls / avgdl))
+
+
+def check_k(k: int) -> bool:
+    """Validate a top-k size: raises for ``k < 0``; False means the
+    answer is empty (``k == 0``) and the caller returns ``[]``."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    return k > 0
+
+
+def top_k(ids: np.ndarray, scores: np.ndarray, k: int
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """The *k* best of parallel (doc_id, score) arrays, ordered
+    (score desc, doc_id asc). ``argpartition`` narrows to the k best
+    scores in O(n), then the exact lexsort runs only over the candidates
+    ≥ the k-th score, so every tie with it survives and the
+    deterministic tie-break holds."""
+    if ids.size > k:
+        kth = np.argpartition(-scores, k - 1)[:k]
+        cand = np.flatnonzero(scores >= scores[kth].min())
+        ids, scores = ids[cand], scores[cand]
+    sel = np.lexsort((ids, -scores))[:k]
+    return ids[sel], scores[sel]
 
 
 def _lev_within(a: str, b: str, d: int) -> int | None:
@@ -211,8 +241,10 @@ class LocalSearcher:
         self._denc = tbl["doc_ids_enc"]
         self._tenc = tbl["tfs_enc"]
         self._lenc = tbl["dls_enc"]
-        # global-df override (doc-partitioned serving) — unset by default
+        # global-df override (doc-partitioned serving) and federated
+        # global-stats override — both unset by default
         self._gdf: tuple[SortedTermMap, np.ndarray] | None = None
+        self._global_stats_active = False
         if n == 0:
             self._terms = SortedTermMap(pa.array([], type=pa.string()))
             self._starts = np.empty(0, dtype=np.int64)
@@ -241,7 +273,6 @@ class LocalSearcher:
 
     def _drop_deleted(self, ids: np.ndarray) -> np.ndarray:
         """Remove tombstoned doc_ids from an ASCENDING id array."""
-        from .build import sorted_member_mask
         if self._tomb.size == 0 or ids.size == 0:
             return ids
         dead = sorted_member_mask(self._tomb, ids)
@@ -744,6 +775,101 @@ class LocalSearcher:
         n = self._stats.num_documents
         return math.log((n - df + 0.5) / (df + 0.5) + 1.0)
 
+    def _rank(self, terms, k, contrib, *, bound=None, finish=None,
+              allowed=None, after=None) -> list[tuple[int, float]]:
+        """The one ranking core behind :meth:`bm25`, :meth:`tfidf`,
+        :meth:`query_likelihood` and :meth:`query_likelihood_jm`: top-k
+        (doc_id, score), tie-break (score desc, doc_id asc).
+
+        *terms* lists ``(term, s, e, info)`` for the query terms present
+        here, ASCENDING by term, with [s, e) the term's posting rows.
+        ``contrib(info, i, row)`` returns row *i*'s per-posting score
+        contributions (``row`` is the :meth:`_decode_row` tuple).
+
+        Exactness discipline (why every scorer is bit-identical to its
+        oracle): each doc's score is the left fold, from 0.0, of its
+        contributions in ascending term order — a doc appears at most
+        once per row, so one fancy-indexed ``+=`` per row IS that fold
+        (``np.add.reduceat`` is not: it right-associates). Partitions
+        with ``doc_part_bits <= 22`` fold into a dense 2^bits buffer;
+        larger ones take the sparse ``unique`` + ``searchsorted`` path.
+        Touched slots are tracked explicitly, so docs whose
+        contributions are all 0.0 still rank. ``finish(sums, dls)``
+        (dls = each doc's length) runs AFTER the fold — the oracles'
+        ``fold + normalizer`` expression order.
+
+        ``bound(info, i)`` is an upper bound on any contribution of row
+        *i*; given it, partitions are scored in descending
+        ub(p) = Σ bound order and the rest skipped once ub(p) < the
+        current k-th best score (block-max WAND at (term, partition)
+        granularity — exact, since no doc in p can score above ub(p)).
+        Without it partitions run ascending and none is skipped.
+
+        Tombstoned docs never rank; ``allowed`` (sorted unique doc_ids)
+        restricts candidates; ``after=(doc_id, score)`` keeps only docs
+        strictly after that row in the result order (search-after)."""
+        if not check_k(k) or not terms or (
+                allowed is not None and allowed.size == 0):
+            return []
+        # one pass: (term, row) pairs grouped by doc-partition, in
+        # ascending term then row order (the fold order), plus ub(p)
+        groups: dict[int, list] = {}
+        ub: dict[int, float] = defaultdict(float)
+        for term, s, e, info in terms:
+            for i, p in zip(range(s, e), self._part[s:e].tolist()):
+                groups.setdefault(p, []).append((term, info, i))
+                if bound is not None:
+                    ub[p] += bound(info, i)
+        order = (sorted(groups) if bound is None
+                 else sorted(groups, key=lambda p: -ub[p]))
+        bits = self._stats.doc_part_bits
+        dense = bits <= 22
+        if dense:
+            buf = np.zeros(1 << bits, dtype=np.float64)
+            seen = np.zeros(1 << bits, dtype=bool)
+            dlb = (np.zeros(1 << bits, dtype=np.float64)
+                   if finish is not None else None)
+        best_ids = np.empty(0, dtype=np.int64)
+        best = np.empty(0, dtype=np.float64)
+        for p in order:
+            if bound is not None and best.size == k and ub[p] < best[-1]:
+                break  # no doc in any remaining partition can enter top-k
+            rows = [(self._decode_row(term, i), info, i)
+                    for term, info, i in groups[p]]
+            if dense:
+                for row, info, i in rows:
+                    rel = row[4]  # ids relative to the partition base
+                    buf[rel] += contrib(info, i, row)
+                    seen[rel] = True
+                    if finish is not None:
+                        dlb[rel] = row[2]  # identical per doc across rows
+                slots = np.flatnonzero(seen)
+                seen[slots] = False
+                uniq = slots + (p << bits)
+                sums = buf[slots]
+                dls = dlb[slots] if finish is not None else None
+                buf[slots] = 0.0  # sparse reset for the next partition
+            else:
+                uniq = np.unique(np.concatenate([row[0]
+                                                 for row, _, _ in rows]))
+                sums = np.zeros(uniq.size, dtype=np.float64)
+                dls = np.zeros(uniq.size, dtype=np.float64)
+                for row, info, i in rows:
+                    pos = np.searchsorted(uniq, row[0])
+                    sums[pos] += contrib(info, i, row)
+                    dls[pos] = row[2]
+            if finish is not None:
+                sums = finish(sums, dls)
+            keep = ~sorted_member_mask(self._tomb, uniq)
+            if allowed is not None:
+                keep &= sorted_member_mask(allowed, uniq)
+            if after is not None:
+                a_d, a_s = after
+                keep &= (sums < a_s) | ((sums == a_s) & (uniq > a_d))
+            best_ids, best = top_k(np.concatenate((best_ids, uniq[keep])),
+                                   np.concatenate((best, sums[keep])), k)
+        return list(zip(best_ids.tolist(), best.tolist()))
+
     def bm25(self, query, k: int = 10,
              after: tuple[int, float] | None = None,
              allowed: np.ndarray | None = None,
@@ -758,7 +884,7 @@ class LocalSearcher:
         Exact because scores are deterministic bit-identical floats, so
         ``bm25(q, k) + bm25(q, k, after=page[-1]) == bm25(q, 2k)``
         (pytest-pinned). Cheaper than deep top-k re-ranking at every
-        page: the heap never holds more than k entries.
+        page: the top-k set never holds more than k entries.
 
         ``allowed`` (sorted unique doc_ids, e.g. ``querylang.evaluate``
         output) is the FILTERED-SEARCH shape — only allowed docs rank;
@@ -777,10 +903,8 @@ class LocalSearcher:
         descending ub order and skipped outright once ub(p) < the current
         k-th best score — the WAND idea at (term, doc-partition)-block
         granularity. Exactness: no document in p can score above ub(p).
+        Exactness rules and filters: :meth:`_rank`.
         """
-        stats = self._stats
-        if allowed is not None and allowed.size == 0:
-            return []
         # per-term query boosts (Lucene term^b): keys are raw tokens,
         # stemmed with this index's stemmer for lookup; must be positive
         # (the block-max upper bound scales linearly in the boost, so
@@ -790,144 +914,43 @@ class LocalSearcher:
             if not bv > 0.0:
                 raise ValueError(f"boost for {tok!r} must be > 0")
             bmap[self._stem_token(tok.lower())] = float(bv)
-        stems = query_stems(query, self._stemmer, self._breaker)
-        term_rows: list[tuple[str, float, float, int, int]] = []
-        for term in stems:
+        terms = []
+        for term in query_stems(query, self._stemmer, self._breaker):
             sl = self._term_slice(term)
             if sl is not None:
-                term_rows.append((term, self.idf(term),
-                                  bmap.get(term, 1.0), sl[0], sl[1]))
-        if not term_rows:
-            return []
+                terms.append((term, *sl,
+                              (self.idf(term), bmap.get(term, 1.0))))
+        # corr = 1.0 on single-generation indexes with their own stats;
+        # >1 re-validates bounds frozen at a smaller avgdl (LSM extends,
+        # federated global-stats overrides — tf_factor grows at most
+        # linearly in avgdl, see IndexStats).
+        corr = self._stats.impact_correction
 
-        # Upper bound per doc-partition. corr = 1.0 on single-generation
-        # indexes with their own stats; >1 re-validates bounds frozen at
-        # a smaller avgdl (LSM extends, federated global-stats overrides
-        # — tf_factor grows at most linearly in avgdl, see IndexStats).
-        corr = stats.impact_correction
-        ub: dict[int, float] = defaultdict(float)
-        for _term, idf, boost, s, e in term_rows:
-            for i in range(s, e):
-                ub[int(self._part[i])] += boost * (idf * (self._imp[i]
-                                                          * corr))
-        parts_desc = sorted(ub, key=lambda p: -ub[p])
+        def bound(info, i):
+            idf, boost = info
+            return boost * (idf * (self._imp[i] * corr))
 
-        # dense per-partition score buffer (2^part_bits slots), reused
-        # across partitions with sparse resets — replaces the
-        # unique+searchsorted path (the warm-query hot spot: sorting
-        # ~500k ids per hot 3-term query). Guarded by size: enormous
-        # partitions fall back to the sparse path.
-        part_bits = stats.doc_part_bits
-        dense_ok = part_bits <= 22
-        buf = np.zeros(1 << part_bits, dtype=np.float64) if dense_ok else None
+        def contrib(info, i, row):
+            idf, boost = info
+            c = self._contrib.get(i)
+            if c is None:
+                # idf is fixed per searcher → the whole per-row
+                # contribution array is a constant; cache it under the
+                # same budget discipline as _decode_row so the cache
+                # can't transiently exceed the budget
+                c = idf * row[3]
+                if self._decoded_bytes + c.nbytes > self._decoded_budget:
+                    self._decoded.clear()
+                    self._contrib.clear()
+                    self._decoded_bytes = 0
+                self._contrib[i] = c
+                self._decoded_bytes += c.nbytes
+            # the cache stays boost-free (boosts vary per query); the
+            # boosted product is the oracle's boost * (idf * tf_factor)
+            return c if boost == 1.0 else boost * c
 
-        heap: list[tuple[float, int]] = []  # (score, -doc_id) min-heap of top-k
-        for part in parts_desc:
-            if len(heap) == k and ub[part] < heap[0][0]:
-                break  # no doc in any remaining partition can enter top-k
-            # Vectorized per-partition scoring in ascending-term order,
-            # accumulated as an exact left fold → bit-identical float64
-            # scores vs the oracle.
-            doc_arrays: list[np.ndarray] = []
-            contrib_arrays: list[np.ndarray] = []
-            for _term, idf, boost, s, e in term_rows:  # ascending terms
-                for i in range(s, e):
-                    if self._part[i] != part:
-                        continue
-                    row = self._decode_row(_term, i)
-                    # dense path scatters by the cached RELATIVE ids
-                    doc_arrays.append(row[4] if dense_ok else row[0])
-                    contrib = self._contrib.get(i)
-                    if contrib is None:
-                        # idf is fixed per searcher → the whole per-row
-                        # contribution array is a constant; cache it
-                        # (same float64 expression → bit-identical).
-                        # Same budget discipline as _decode_row so the
-                        # cache can't transiently exceed the budget
-                        # (ADVICE r3).
-                        contrib = idf * row[3]
-                        if (self._decoded_bytes + contrib.nbytes
-                                > self._decoded_budget):
-                            self._decoded.clear()
-                            self._contrib.clear()
-                            self._decoded_bytes = 0
-                        self._contrib[i] = contrib
-                        self._decoded_bytes += contrib.nbytes
-                    # the cache stays boost-free (boosts vary per query);
-                    # the boosted product is the oracle's
-                    # boost * (idf * tf_factor) association
-                    contrib_arrays.append(
-                        contrib if boost == 1.0 else boost * contrib)
-            if not doc_arrays:
-                continue
-            # Left-fold accumulation per doc in term order: a doc appears
-            # at most once per term array, so fancy-indexed += is exact
-            # and matches the oracle's sequential `scores[d] += c`.
-            # (np.add.reduceat is NOT a left fold — it right-associates.)
-            if dense_ok:
-                base = np.int64(part) << np.int64(part_bits)
-                for rel_t, contrib_t in zip(doc_arrays, contrib_arrays):
-                    buf[rel_t] += contrib_t  # rel ids cached at decode
-                # BM25 contributions are strictly positive (idf>0,
-                # tf_factor>0), so touched ⇔ nonzero
-                nz = np.flatnonzero(buf)
-                uniq = nz + base
-                sums = buf[nz].copy()
-                buf[nz] = 0.0  # sparse reset for the next partition
-            else:
-                uniq = np.unique(np.concatenate(doc_arrays))
-                sums = np.zeros(uniq.size, dtype=np.float64)
-                for docs_t, contrib_t in zip(doc_arrays, contrib_arrays):
-                    sums[np.searchsorted(uniq, docs_t)] += contrib_t
-            if self._tomb.size:
-                # deleted docs never enter the top-k (scores of the
-                # survivors keep the frozen N/df until compaction)
-                live = self._drop_deleted(uniq)
-                if live.size != uniq.size:
-                    keep = np.searchsorted(uniq, live)
-                    uniq, sums = live, sums[keep]
-                    if uniq.size == 0:
-                        continue
-            if allowed is not None:
-                # filtered search: membership via one merge-scan of two
-                # sorted arrays (both ascending)
-                pos = np.searchsorted(allowed, uniq)
-                ok = ((pos < allowed.size)
-                      & (allowed[np.minimum(pos, allowed.size - 1)]
-                         == uniq))
-                if not ok.all():
-                    uniq, sums = uniq[ok], sums[ok]
-                    if uniq.size == 0:
-                        continue
-            if after is not None:
-                # search-after: strictly after the cursor in the exact
-                # (score desc, doc_id asc) result order
-                a_d, a_s = after
-                keep = (sums < a_s) | ((sums == a_s) & (uniq > a_d))
-                if not keep.all():
-                    uniq, sums = uniq[keep], sums[keep]
-                    if uniq.size == 0:
-                        continue
-            if uniq.size > k:
-                # only this partition's top-k can enter the global top-k.
-                # argpartition O(n) narrows to the k best scores, then the
-                # exact (score desc, doc_id asc) lexsort runs ONLY over
-                # the candidates — all elements tied with the k-th score
-                # are included, so the deterministic tie-break is
-                # preserved (a full per-partition lexsort was the warm-
-                # query hot spot: 13.5 of 18 ms on a hot 3-term query)
-                kth = np.argpartition(-sums, k - 1)[:k]
-                thresh = sums[kth].min()
-                cand = np.flatnonzero(sums >= thresh)
-                sel = np.lexsort((uniq[cand], -sums[cand]))[:k]
-                uniq, sums = uniq[cand][sel], sums[cand][sel]
-            for d, s in zip(uniq.tolist(), sums.tolist()):
-                item = (s, -d)
-                if len(heap) < k:
-                    heapq.heappush(heap, item)
-                elif item > heap[0]:
-                    heapq.heapreplace(heap, item)
-        return [(-nd, s) for s, nd in sorted(heap, key=lambda x: (-x[0], -x[1]))]
+        return self._rank(terms, k, contrib, bound=bound, allowed=allowed,
+                          after=after)
 
     def tfidf(self, query, k: int = 10) -> list[tuple[int, float]]:
         """Top-k by CLASSIC tf-idf — score(d) = Σ_t ln(N/df_t)·(1+ln(tf)),
@@ -935,74 +958,40 @@ class LocalSearcher:
         BM25 (exercises the same decoded postings through a different
         formula). No block-max pruning: the stored max_impact bounds are
         BM25 impacts, so this path scores every posting of every query
-        term (per-partition dense scatter-add, ascending-term left fold —
-        same exactness discipline as :meth:`bm25`). Tie-break
+        term (exactness rules: :meth:`_rank`). Tie-break
         (score desc, doc_id asc). Docs whose every query term has
         df = N score 0.0 and still rank (ln(1) = 0 contributions)."""
-        stats = self._stats
-        n = stats.num_documents
-        stems = query_stems(query, self._stemmer, self._breaker)
-        term_rows: list[tuple[str, float, int, int]] = []
-        for term in stems:
+        n = self._stats.num_documents
+        terms = []
+        for term in query_stems(query, self._stemmer, self._breaker):
             sl = self._term_slice(term)
             if sl is not None:
-                df = self._df_of(term)
-                term_rows.append((term, math.log(n / df), sl[0], sl[1]))
-        if not term_rows:
-            return []
-        parts = sorted({int(self._part[i]) for _t, _f, s, e in term_rows
-                        for i in range(s, e)})
-        part_bits = stats.doc_part_bits
-        dense_ok = part_bits <= 22
-        buf = np.zeros(1 << part_bits, dtype=np.float64) if dense_ok else None
-        heap: list[tuple[float, int]] = []
-        for part in parts:
-            doc_arrays: list[np.ndarray] = []
-            contrib_arrays: list[np.ndarray] = []
-            for _term, idf, s, e in term_rows:  # ascending term order
-                for i in range(s, e):
-                    if self._part[i] != part:
-                        continue
-                    row = self._decode_row(_term, i)
-                    doc_arrays.append(row[4] if dense_ok else row[0])
-                    contrib_arrays.append(idf * (1.0 + np.log(row[1])))
-            if not doc_arrays:
-                continue
-            if dense_ok:
-                base = np.int64(part) << np.int64(part_bits)
-                touched = np.unique(np.concatenate(doc_arrays))
-                for rel_t, contrib_t in zip(doc_arrays, contrib_arrays):
-                    buf[rel_t] += contrib_t
-                # contributions can be exactly 0.0 (df = N), so the
-                # touched set is tracked explicitly, not via nonzero
-                uniq = touched + base
-                sums = buf[touched].copy()
-                buf[touched] = 0.0
-            else:
-                uniq = np.unique(np.concatenate(doc_arrays))
-                sums = np.zeros(uniq.size, dtype=np.float64)
-                for docs_t, contrib_t in zip(doc_arrays, contrib_arrays):
-                    sums[np.searchsorted(uniq, docs_t)] += contrib_t
-            if self._tomb.size:
-                live = self._drop_deleted(uniq)
-                if live.size != uniq.size:
-                    keep = np.searchsorted(uniq, live)
-                    uniq, sums = live, sums[keep]
-                    if uniq.size == 0:
-                        continue
-            if uniq.size > k:
-                kth = np.argpartition(-sums, k - 1)[:k]
-                thresh = sums[kth].min()
-                cand = np.flatnonzero(sums >= thresh)
-                sel = np.lexsort((uniq[cand], -sums[cand]))[:k]
-                uniq, sums = uniq[cand][sel], sums[cand][sel]
-            for d, s in zip(uniq.tolist(), sums.tolist()):
-                item = (s, -d)
-                if len(heap) < k:
-                    heapq.heappush(heap, item)
-                elif item > heap[0]:
-                    heapq.heapreplace(heap, item)
-        return [(-nd, s) for s, nd in sorted(heap, key=lambda x: (-x[0], -x[1]))]
+                terms.append((term, *sl, math.log(n / self._df_of(term))))
+        return self._rank(
+            terms, k, lambda idf, i, row: idf * (1.0 + np.log(row[1])))
+
+    def _ql_terms(self, query, scorer: str) -> list[tuple]:
+        """``(term, s, e, (qtf, ctf))`` for the query's collection-present
+        terms, ascending — the shared input of both query-likelihood
+        scorers. ctf is the exact Σ tf over the term's postings (every
+        row decodes for scoring anyway)."""
+        if self._global_stats_active:
+            raise ValueError(
+                f"{scorer} under set_global_stats is unsupported: "
+                "ctf comes from THIS index's postings while C would be "
+                "the federation's global token count — the mixed "
+                "statistics match neither the local nor the merged "
+                "oracle. Run QL against the merged index, or extend "
+                "set_global_stats with a global ctf table first.")
+        terms = []
+        for term, qtf in query_stem_counts(query, self._stemmer,
+                                           self._breaker):
+            sl = self._term_slice(term)
+            if sl is not None:
+                ctf = sum(int(self._decode_row(term, i)[1].sum())
+                          for i in range(*sl))
+                terms.append((term, *sl, (float(qtf), float(ctf))))
+        return terms
 
     def query_likelihood(self, query, k: int = 10, mu: float = 2000.0
                          ) -> list[tuple[int, float]]:
@@ -1019,109 +1008,21 @@ class LocalSearcher:
         in the collection (out-of-vocabulary terms have p(t|C) = 0 and
         drop from both the sum and |q| — the standard convention).
         Candidates are docs matching ≥1 query term; ctf is the exact
-        Σ tf over the term's postings (every row decodes for scoring
-        anyway — no pruning applies, the stored impacts bound BM25, not
-        QL). Same exactness discipline as :meth:`tfidf`: per-partition
-        dense scatter-add, ascending-term left fold, then the
-        dl-dependent normalizer added AFTER the fold (the oracle's
-        ``list_aggregate(...) + qlen·ln(μ/(dl+μ))`` shape), tie-break
-        (score desc, doc_id asc)."""
-        if getattr(self, "_global_stats_active", False):
-            raise ValueError(
-                "query_likelihood under set_global_stats is unsupported: "
-                "ctf comes from THIS index's postings while C would be "
-                "the federation's global token count — the mixed "
-                "statistics match neither the local nor the merged "
-                "oracle. Run QL against the merged index, or extend "
-                "set_global_stats with a global ctf table first.")
-        stats = self._stats
-        coll = float(stats.total_doc_len)
-        pairs = query_stem_counts(query, self._stemmer, self._breaker)
-        # (term, qtf, ctf, row range) for collection-present terms
-        term_rows: list[tuple[str, float, float, int, int]] = []
-        qlen = 0
-        for term, qtf in pairs:  # ascending term order
-            sl = self._term_slice(term)
-            if sl is None:
-                continue
-            ctf = 0
-            for i in range(sl[0], sl[1]):
-                ctf += int(self._decode_row(term, i)[1].sum())
-            qlen += qtf
-            term_rows.append((term, float(qtf), float(ctf), sl[0], sl[1]))
-        if not term_rows:
-            return []
-        qlen_f = float(qlen)
-        parts = sorted({int(self._part[i])
-                        for _t, _q, _c, s, e in term_rows
-                        for i in range(s, e)})
-        part_bits = stats.doc_part_bits
-        dense_ok = part_bits <= 22
-        buf = np.zeros(1 << part_bits, dtype=np.float64) if dense_ok else None
-        dlb = np.zeros(1 << part_bits, dtype=np.float64) if dense_ok else None
-        heap: list[tuple[float, int]] = []
-        for part in parts:
-            doc_arrays: list[np.ndarray] = []
-            contrib_arrays: list[np.ndarray] = []
-            dl_arrays: list[np.ndarray] = []
-            for _term, qtf, ctf, s, e in term_rows:  # ascending terms
-                for i in range(s, e):
-                    if self._part[i] != part:
-                        continue
-                    row = self._decode_row(_term, i)
-                    doc_arrays.append(row[4] if dense_ok else row[0])
-                    # same float64 shape as the oracle:
-                    # qtf * ln(1.0 + tf / (mu * (ctf / C)))
-                    contrib_arrays.append(
-                        qtf * np.log(1.0 + row[1] / (mu * (ctf / coll))))
-                    dl_arrays.append(row[2])
-            if not doc_arrays:
-                continue
-            if dense_ok:
-                base = np.int64(part) << np.int64(part_bits)
-                touched = np.unique(np.concatenate(doc_arrays))
-                for rel_t, contrib_t, dl_t in zip(doc_arrays,
-                                                  contrib_arrays,
-                                                  dl_arrays):
-                    buf[rel_t] += contrib_t
-                    dlb[rel_t] = dl_t  # identical per doc across terms
-                uniq = touched + base
-                sums = buf[touched].copy()
-                dls_u = dlb[touched].copy()
-                buf[touched] = 0.0
-            else:
-                uniq = np.unique(np.concatenate(doc_arrays))
-                sums = np.zeros(uniq.size, dtype=np.float64)
-                dls_u = np.zeros(uniq.size, dtype=np.float64)
-                for docs_t, contrib_t, dl_t in zip(doc_arrays,
-                                                   contrib_arrays,
-                                                   dl_arrays):
-                    pos = np.searchsorted(uniq, docs_t)
-                    sums[pos] += contrib_t
-                    dls_u[pos] = dl_t
-            # dl normalizer AFTER the term fold (oracle expression order)
-            sums = sums + qlen_f * np.log(mu / (dls_u + mu))
-            if self._tomb.size:
-                live = self._drop_deleted(uniq)
-                if live.size != uniq.size:
-                    keep = np.searchsorted(uniq, live)
-                    uniq, sums = live, sums[keep]
-                    if uniq.size == 0:
-                        continue
-            if uniq.size > k:
-                kth = np.argpartition(-sums, k - 1)[:k]
-                thresh = sums[kth].min()
-                cand = np.flatnonzero(sums >= thresh)
-                sel = np.lexsort((uniq[cand], -sums[cand]))[:k]
-                uniq, sums = uniq[cand][sel], sums[cand][sel]
-            for d, s in zip(uniq.tolist(), sums.tolist()):
-                item = (s, -d)
-                if len(heap) < k:
-                    heapq.heappush(heap, item)
-                elif item > heap[0]:
-                    heapq.heapreplace(heap, item)
-        return [(-nd, s) for s, nd in sorted(heap,
-                                             key=lambda x: (-x[0], -x[1]))]
+        Σ tf over the term's postings (no pruning applies, the stored
+        impacts bound BM25, not QL). The dl-dependent normalizer is
+        added AFTER the ascending-term fold (the oracle's
+        ``list_aggregate(...) + qlen·ln(μ/(dl+μ))`` shape; exactness
+        rules: :meth:`_rank`), tie-break (score desc, doc_id asc)."""
+        terms = self._ql_terms(query, "query_likelihood")
+        coll = float(self._stats.total_doc_len)
+        qlen = sum(qtf for *_, (qtf, _ctf) in terms)
+        return self._rank(
+            terms, k,
+            # same float64 shape as the oracle:
+            # qtf * ln(1.0 + tf / (mu * (ctf / C)))
+            lambda qc, i, row: qc[0] * np.log(
+                1.0 + row[1] / (mu * (qc[1] / coll))),
+            finish=lambda sums, dls: sums + qlen * np.log(mu / (dls + mu)))
 
     def query_likelihood_jm(self, query, k: int = 10, lam: float = 0.7
                             ) -> list[tuple[int, float]]:
@@ -1136,94 +1037,25 @@ class LocalSearcher:
         per-doc fold over MATCHED terms plus a query-only constant
         (both restricted to collection-present terms, the standard OOV
         convention; candidates are docs matching ≥1 present term —
-        same rank universe as :meth:`query_likelihood`). Same exactness
-        discipline: ascending-term left fold, the constant added AFTER
-        the fold (the oracle's ``list_aggregate(...) + qconst`` shape),
-        tie-break (score desc, doc_id asc)."""
+        same rank universe as :meth:`query_likelihood`). The constant
+        is added AFTER the ascending-term fold (the oracle's
+        ``list_aggregate(...) + qconst`` shape; exactness rules:
+        :meth:`_rank`), tie-break (score desc, doc_id asc)."""
         if not 0.0 < lam < 1.0:
             raise ValueError("lam must be in (0, 1)")
-        if getattr(self, "_global_stats_active", False):
-            raise ValueError(
-                "query_likelihood_jm under set_global_stats is "
-                "unsupported: ctf is local while C would be global — "
-                "see query_likelihood's contract note.")
-        stats = self._stats
-        coll = float(stats.total_doc_len)
+        terms = self._ql_terms(query, "query_likelihood_jm")
+        coll = float(self._stats.total_doc_len)
         ratio = (1.0 - lam) / lam
-        pairs = query_stem_counts(query, self._stemmer, self._breaker)
-        term_rows: list[tuple[str, float, float, int, int]] = []
         qconst = 0.0
-        for term, qtf in pairs:  # ascending term order
-            sl = self._term_slice(term)
-            if sl is None:
-                continue
-            ctf = 0
-            for i in range(sl[0], sl[1]):
-                ctf += int(self._decode_row(term, i)[1].sum())
-            term_rows.append((term, float(qtf), float(ctf), sl[0], sl[1]))
-            # query-only constant, folded in the same ascending order
-            qconst += float(qtf) * math.log(lam * (ctf / coll))
-        if not term_rows:
-            return []
-        parts = sorted({int(self._part[i])
-                        for _t, _q, _c, s, e in term_rows
-                        for i in range(s, e)})
-        part_bits = stats.doc_part_bits
-        dense_ok = part_bits <= 22
-        buf = np.zeros(1 << part_bits, dtype=np.float64) if dense_ok else None
-        heap: list[tuple[float, int]] = []
-        for part in parts:
-            doc_arrays: list[np.ndarray] = []
-            contrib_arrays: list[np.ndarray] = []
-            for _term, qtf, ctf, s, e in term_rows:  # ascending terms
-                for i in range(s, e):
-                    if self._part[i] != part:
-                        continue
-                    row = self._decode_row(_term, i)
-                    doc_arrays.append(row[4] if dense_ok else row[0])
-                    # same float64 shape as the oracle:
-                    # qtf * ln(1 + ratio * ((tf/dl) / (ctf/C)))
-                    contrib_arrays.append(
-                        qtf * np.log(1.0 + ratio
-                                     * ((row[1] / row[2])
-                                        / (ctf / coll))))
-            if not doc_arrays:
-                continue
-            if dense_ok:
-                base = np.int64(part) << np.int64(part_bits)
-                touched = np.unique(np.concatenate(doc_arrays))
-                for rel_t, contrib_t in zip(doc_arrays, contrib_arrays):
-                    buf[rel_t] += contrib_t
-                uniq = touched + base
-                sums = buf[touched].copy()
-                buf[touched] = 0.0
-            else:
-                uniq = np.unique(np.concatenate(doc_arrays))
-                sums = np.zeros(uniq.size, dtype=np.float64)
-                for docs_t, contrib_t in zip(doc_arrays, contrib_arrays):
-                    sums[np.searchsorted(uniq, docs_t)] += contrib_t
-            sums = sums + qconst  # constant AFTER the fold
-            if self._tomb.size:
-                live = self._drop_deleted(uniq)
-                if live.size != uniq.size:
-                    keep = np.searchsorted(uniq, live)
-                    uniq, sums = live, sums[keep]
-                    if uniq.size == 0:
-                        continue
-            if uniq.size > k:
-                kth = np.argpartition(-sums, k - 1)[:k]
-                thresh = sums[kth].min()
-                cand = np.flatnonzero(sums >= thresh)
-                sel = np.lexsort((uniq[cand], -sums[cand]))[:k]
-                uniq, sums = uniq[cand][sel], sums[cand][sel]
-            for d, s in zip(uniq.tolist(), sums.tolist()):
-                item = (s, -d)
-                if len(heap) < k:
-                    heapq.heappush(heap, item)
-                elif item > heap[0]:
-                    heapq.heapreplace(heap, item)
-        return [(-nd, s) for s, nd in sorted(heap,
-                                             key=lambda x: (-x[0], -x[1]))]
+        for *_, (qtf, ctf) in terms:  # same ascending order as the fold
+            qconst += qtf * math.log(lam * (ctf / coll))
+        return self._rank(
+            terms, k,
+            # same float64 shape as the oracle:
+            # qtf * ln(1 + ratio * ((tf/dl) / (ctf/C)))
+            lambda qc, i, row: qc[0] * np.log(
+                1.0 + ratio * ((row[1] / row[2]) / (qc[1] / coll))),
+            finish=lambda sums, _dls: sums + qconst)
 
     def explain(self, query, doc_id: int) -> dict:
         """Per-term BM25 score breakdown for one (query, doc) — the
@@ -1289,7 +1121,7 @@ def _load_rows_for_terms(index: BuiltIndex, stems: list[str]):
 
 def _drop_tombstoned(index: BuiltIndex, ids: np.ndarray) -> np.ndarray:
     """Tombstone filter for the one-off (serverless) query paths."""
-    from .build import load_tombstones, sorted_member_mask
+    from .build import load_tombstones
 
     tomb = load_tombstones(index.root)
     if tomb.size == 0 or ids.size == 0:
@@ -1363,6 +1195,8 @@ def bm25_dataset(index: BuiltIndex, query, k: int = 10) -> list[tuple[int, float
     searcher): reads only the query terms' posting rows via bucket + term
     pushdown, then scores with the same left-fold term order as
     :class:`LocalSearcher` — rank- and score-identical."""
+    if not check_k(k):
+        return []
     stats = index.stats
     stems = query_stems(query)
     tbl = _load_rows_for_terms(index, stems)

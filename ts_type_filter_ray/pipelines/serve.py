@@ -43,8 +43,8 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import ray
 
-from .build import BuiltIndex
-from .query import LocalSearcher, query_stems
+from .build import BuiltIndex, sorted_member_mask
+from .query import LocalSearcher, check_k, query_stems, top_k
 
 
 def load_global_df(index: BuiltIndex) -> pa.Table:
@@ -336,7 +336,6 @@ class TermRoutedService:
         return groups
 
     def _drop_deleted(self, ids: np.ndarray) -> np.ndarray:
-        from .build import sorted_member_mask
         if not self._tomb.size or not ids.size:
             return ids
         return ids[~sorted_member_mask(self._tomb, ids)]
@@ -364,6 +363,8 @@ class TermRoutedService:
         most once per term array, so the fancy-indexed ``+=`` sequence
         is the exact same left fold), drops tombstoned docs, and ranks
         (score desc, doc_id asc)."""
+        if not check_k(k):
+            return []
         stems = query_stems(query, self._stemmer, self._breaker)
         groups = self._route(stems)
         results = [r for sub in ray.get(
@@ -376,16 +377,6 @@ class TermRoutedService:
         sums = np.zeros(uniq.size, dtype=np.float64)
         for _term, docs_t, contrib_t in results:
             sums[np.searchsorted(uniq, docs_t)] += contrib_t
-        live = self._drop_deleted(uniq)
-        if live.size != uniq.size:
-            keep = np.searchsorted(uniq, live)
-            uniq, sums = live, sums[keep]
-        if uniq.size == 0:
-            return []
-        if uniq.size > k:
-            kth = np.argpartition(-sums, k - 1)[:k]
-            thresh = sums[kth].min()
-            cand = np.flatnonzero(sums >= thresh)
-            uniq, sums = uniq[cand], sums[cand]
-        sel = np.lexsort((uniq, -sums))[:k]
-        return [(int(uniq[i]), float(sums[i])) for i in sel]
+        keep = ~sorted_member_mask(self._tomb, uniq)
+        ids, scores = top_k(uniq[keep], sums[keep], k)
+        return list(zip(ids.tolist(), scores.tolist()))
