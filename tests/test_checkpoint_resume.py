@@ -124,3 +124,45 @@ def test_finalize_param_mismatch_raises(ray_session, small_code_corpus_dir,
                              doc_part_bits=8, num_term_buckets=8)
     with pytest.raises(RuntimeError, match="params"):
         finalize_index(out, num_term_buckets=32, doc_part_bits=8)
+
+
+def test_resume_rewrites_partials_from_an_older_spill_layout(
+        ray_session, small_code_corpus_dir, tmp_path_factory, direct_index):
+    """A checkpoint whose manifest predates the spill layout key (its
+    partials were Parquet) is wiped and every shard re-tokenized; the
+    finished index equals the direct build."""
+    import json
+
+    import pyarrow.parquet as pq
+
+    from ts_type_filter_ray.state.spill import read_spill, spill_files
+
+    out = str(tmp_path_factory.mktemp("ckpt_idx6"))
+    build_index_checkpointed(small_code_corpus_dir, out, num_shards=2,
+                             doc_part_bits=8, num_term_buckets=16)
+    # turn the checkpoint into the older layout: Parquet partials and a
+    # manifest whose params carry no spill key
+    for dirpath, _dirs, _files in os.walk(os.path.join(out, "partials")):
+        for f in spill_files(dirpath):
+            pq.write_table(read_spill([f]), f[:-len(".arrow")] + ".parquet")
+            os.remove(f)
+    with open(os.path.join(out, "manifest.json")) as f:
+        manifest = json.load(f)
+    manifest["params"] = {"num_shards": 2, "num_term_buckets": 16,
+                          "doc_part_bits": 8}
+    with open(os.path.join(out, "manifest.json"), "w") as f:
+        json.dump(manifest, f)
+    stale = _mtimes(out)
+
+    idx = build_index_checkpointed(small_code_corpus_dir, out, num_shards=2,
+                                   doc_part_bits=8, num_term_buckets=16)
+    assert not set(stale) & set(_mtimes(out))  # every shard re-ran
+    assert idx.stats == direct_index.stats
+    for d in sorted(os.listdir(direct_index.postings_dir)):
+        got, want = (pq.read_table(os.path.join(root, "postings", d,
+                                                "merged.parquet"))
+                     for root in (out, direct_index.root))
+        assert got.equals(want), d
+    s_ck, s_di = LocalSearcher(idx), LocalSearcher(direct_index)
+    for q in QUERIES:
+        assert s_ck.bm25(q, k=10) == s_di.bm25(q, k=10)

@@ -3,28 +3,28 @@ table + global stats, all Parquet under one index root.
 
 Ray-Data-first shape (SURVEY.md §3.1 "Ray shape", §7):
 
-  corpus ─map_batches(TokenizePartials, emit_meta=True) ─ ONE pass:
-               partial posting rows + per-doc metadata rows
-               write_parquet(partition_cols=["bucket"]) ► partials/bucket=*
+  corpus ─read → TokenizePartials(emit_meta=True) → SpillDatasink ─ ONE
+               fused task per read task: partial posting rows + per-doc
+               metadata rows ► partials/bucket=*/<task>.arrow
                (metadata rows land under bucket=-1)
-  bucket=-1 ── one task per meta file ────► docs/  (doc_id, sha256, …)
+  bucket=-1 ── bundled docs tasks ────────► docs/  (doc_id, sha256, …)
                + (N, avgdl) reduce ───────► stats.json  (BM25 globals)
   bucket>=0 ── one merge task per bucket ─► postings/bucket=* (+ counters)
 
-The per-batch partial aggregation inside ``TokenizePartials`` is the
+The per-slice partial aggregation inside ``TokenizePartials`` is the
 combiner that bounds the exchange; ``part = doc_id >> doc_part_bits``
 bounds every posting row (hot-term skew, SURVEY.md §4). The exchange
-itself is a **bucket-partitioned Parquet spill** rather than an
-object-store groupby shuffle — measured faster and better-scaling here,
-and it doubles as the checkpoint artifact (state/manifest.py shares the
-layout and the merge). Postings land partitioned by
-``bucket = crc32(term) % num_term_buckets`` so a query routes to its
-buckets' files only; per-term df stays derivable because each term lives
-in exactly one bucket.
+itself is a **bucket-partitioned LZ4 Arrow IPC spill**
+(``state/spill.py``) rather than an object-store groupby shuffle —
+measured faster and better-scaling here, and it doubles as the
+checkpoint artifact (state/manifest.py shares the layout and the merge).
+Postings land partitioned by ``bucket = crc32(term) % num_term_buckets``
+so a query routes to its buckets' files only; per-term df stays
+derivable because each term lives in exactly one bucket.
 
-Index root layout (all Parquet + one JSON):
+Index root layout (Parquet + one JSON):
   root/docs/*.parquet     root/postings/bucket=*/merged.parquet
-  root/stats.json         (root/partials/bucket=* during the build)
+  root/stats.json         (root/partials/bucket=*/*.arrow during the build)
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from ray.data import Dataset
 from ..oracle.index import BM25_B, BM25_K1
 from ..stages.tokenizer import DEFAULT_DOC_PART_BITS, TokenizePartials
 from ..state.postings import term_bucket  # noqa: F401  (re-export for query)
+from ..state.spill import SpillDatasink, read_spill, spill_files
 
 DEFAULT_TERM_BUCKETS = 32
 
@@ -132,13 +133,12 @@ def build_index(corpus: Dataset, out_dir: str, *,
 
     # ONE corpus pass — tokenize emits partial posting rows AND per-doc
     # metadata rows (sha256/doc_len, ``bucket = -1``) in the same stream,
-    # spilled to Parquet partitioned by term bucket. This replaces an
+    # spilled partitioned by term bucket. This replaces an
     # in-object-store groupby shuffle with a shuffle-free partitioned
-    # write: each tokenize task appends its own files under every bucket
-    # directory (dictionary-encoded + snappy on disk ≈ 3-4x smaller than
-    # the in-memory exchange). The combined stream halves corpus reads vs
-    # the r1 two-pass layout and keeps doc_len on the same breaker as the
-    # postings.
+    # write: each tokenize task writes one LZ4 Arrow IPC file under every
+    # bucket directory it touched. The combined stream halves corpus
+    # reads vs the r1 two-pass layout and keeps doc_len on the same
+    # breaker as the postings.
     import time
     timings: dict[str, float] = {}
 
@@ -150,17 +150,17 @@ def build_index(corpus: Dataset, out_dir: str, *,
     timings["tokenize_spill"] = time.perf_counter() - t0
 
     # docs table + global doc stats from the (small, content-free)
-    # metadata partition — one raw Ray task per meta file (a Dataset
-    # read→map→write→read→aggregate here costs ~2 s of fixed job-launch
-    # overhead per build, dwarfing the actual work; the task count still
-    # scales with the corpus because meta files ∝ tokenize output blocks)
-    if not os.path.isdir(os.path.join(partials_dir, "bucket=-1")):
+    # metadata partition — raw Ray tasks over bundles of meta files (a
+    # Dataset read→map→write→read→aggregate here costs ~2 s of fixed
+    # job-launch overhead per build, dwarfing the actual work; the task
+    # count still scales with the corpus because meta files ∝ write tasks)
+    meta_dir = os.path.join(partials_dir, "bucket=-1")
+    if not os.path.isdir(meta_dir):
         raise ValueError("cannot build an index over an empty corpus")
     docs_dir = os.path.join(out_dir, "docs")
     shutil.rmtree(docs_dir, ignore_errors=True)
     t0 = time.perf_counter()
-    n_docs, total_dl = _write_docs_table(
-        os.path.join(partials_dir, "bucket=-1"), docs_dir)
+    n_docs, total_dl = _write_docs_table(spill_files(meta_dir), docs_dir)
     timings["docs_table"] = time.perf_counter() - t0
     if n_docs == 0:
         raise ValueError("cannot build an index over an empty corpus")
@@ -259,7 +259,8 @@ def extend_index(root: str, new_corpus: Dataset, *,
     if not os.path.isdir(meta_dir):
         raise ValueError("cannot extend with an empty corpus")
     t0 = time.perf_counter()
-    n_new, dl_new = _write_docs_table(meta_dir, os.path.join(root, "docs"),
+    n_new, dl_new = _write_docs_table(spill_files(meta_dir),
+                                      os.path.join(root, "docs"),
                                       prefix=f"docs_g{gen}")
     timings["docs_table"] = time.perf_counter() - t0
     if n_new == 0:
@@ -313,31 +314,37 @@ def extend_index(root: str, new_corpus: Dataset, *,
 
 def _tokenize_spill(corpus: Dataset, partials_dir: str, doc_part_bits: int,
                     num_term_buckets: int, batch_size: int,
-                    breaker, stemmer, stopwords) -> None:
+                    breaker, stemmer, stopwords) -> Dataset:
     """Tokenize *corpus* into partial posting rows plus doc-meta rows
-    and spill them under *partials_dir*, partitioned by term bucket.
+    and spill them under *partials_dir* through
+    :class:`~..state.spill.SpillDatasink`, partitioned by term bucket.
 
-    Both forms run in the stateless task pool, so the executor fuses
-    read → tokenize → write into one task per block (partials never
-    transit the object store, every CPU serves every stage, and no CPU
-    is pinned to an actor that would starve the read on a one-CPU
-    cluster). The default breaker/stemmer with no stopwords uses the
-    per-worker ``tokenize_task`` singleton; opaque user callables or a
-    stopword set ship inside a ``TokenizePartials`` instance."""
+    Both forms run in the stateless task pool on whole blocks (the
+    tokenizer cuts them into *batch_size*-doc slices itself), so when the
+    corpus read needs no block split — ``read_corpus`` sizes it so — the
+    executor fuses read → tokenize → write into one task per read task:
+    partials never transit the object store, every CPU serves every
+    stage, and no CPU is pinned to an actor that would starve the read
+    on a one-CPU cluster. The default breaker/stemmer with no stopwords
+    uses the per-worker ``tokenize_task`` singleton; opaque user
+    callables or a stopword set ship inside a ``TokenizePartials``
+    instance. Returns the written Dataset (its ``stats()`` show the
+    executed operators)."""
     if breaker is None and stemmer is None and stopwords is None:
         from ..stages.tokenizer import tokenize_task
         partials = corpus.map_batches(
             tokenize_task,
             fn_kwargs={"doc_part_bits": doc_part_bits,
                        "num_term_buckets": num_term_buckets,
-                       "emit_meta": True},
-            batch_format="pyarrow", batch_size=batch_size)
+                       "emit_meta": True, "batch_size": batch_size},
+            batch_format="pyarrow", batch_size=None)
     else:
         partials = corpus.map_batches(
             TokenizePartials(doc_part_bits, num_term_buckets, breaker,
-                             stemmer, True, stopwords),
-            batch_format="pyarrow", batch_size=batch_size)
-    partials.write_parquet(partials_dir, partition_cols=["bucket"])
+                             stemmer, True, stopwords, batch_size),
+            batch_format="pyarrow", batch_size=None)
+    partials.write_datasink(SpillDatasink(partials_dir))
+    return partials
 
 
 def _clear_generation(postings_dir: str, stem: str) -> None:
@@ -357,25 +364,23 @@ def _clear_generation(postings_dir: str, stem: str) -> None:
 
 
 def _docs_from_meta_files(srcs: list[str], dest: str) -> tuple[int, int]:
-    """One docs-table shard: a bundle of meta parquet files → one docs
+    """One docs-table shard: a bundle of meta spill files → one docs
     parquet file. Returns (n_docs, total_doc_len) for the reduce."""
-    import pyarrow as pa
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
     from ..stages.tokenizer import meta_rows_to_docs
 
-    docs = pa.concat_tables(
-        [meta_rows_to_docs(pq.read_table(s)) for s in srcs])
+    docs = meta_rows_to_docs(read_spill(srcs))
     pq.write_table(docs, dest)
     dl = pc.sum(docs["doc_len"]).as_py() or 0
     return docs.num_rows, int(dl)
 
 
-def _write_docs_table(meta_dir: str, docs_dir: str,
+def _write_docs_table(files: list[str], docs_dir: str,
                       max_tasks: int = 32,
                       prefix: str = "docs") -> tuple[int, int]:
-    """Fan bundled Ray tasks over the meta files; reduce
+    """Fan bundled Ray tasks over the meta spill *files*; reduce
     (n_docs, total_doc_len). Bundling keeps the task count bounded —
     per-task driver dispatch is the non-scaling cost on one node.
     ``prefix`` namespaces extension generations' shards beside the
@@ -383,7 +388,6 @@ def _write_docs_table(meta_dir: str, docs_dir: str,
     import ray
 
     os.makedirs(docs_dir, exist_ok=True)
-    files = sorted(f for f in os.listdir(meta_dir) if f.endswith(".parquet"))
     n_bundles = max(1, min(len(files), max_tasks))
     task = ray.remote(_docs_from_meta_files)
     refs = []
@@ -393,7 +397,7 @@ def _write_docs_table(meta_dir: str, docs_dir: str,
         if hi <= lo:
             continue
         refs.append(task.remote(
-            [os.path.join(meta_dir, f) for f in files[lo:hi]],
+            files[lo:hi],
             os.path.join(docs_dir, f"{prefix}_{b:05d}.parquet")))
     results = ray.get(refs)
     return sum(r[0] for r in results), sum(r[1] for r in results)
@@ -544,7 +548,6 @@ def _compact_one_bucket(dest: str, avgdl: float, k1: float,
     seg_files = [os.path.join(dest, f) for f in sorted(os.listdir(dest))
                  if f.endswith(".parquet") and not f.startswith((".", "_"))]
     if seg_files:
-        bucket = int(dest.rsplit("=", 1)[1])
         tbls = [pq.read_table(f) for f in seg_files]
         rows = pa.concat_tables(tbls).combine_chunks()
         # one vectorized varint pass over each whole column — no per-row
@@ -574,8 +577,6 @@ def _compact_one_bucket(dest: str, avgdl: float, k1: float,
         else:
             alive_rows = None
         partial = pa.table({
-            "bucket": pa.array(np.full(rows.num_rows, bucket,
-                                       dtype=np.int32)),
             "term": rows["term"],
             "part": rows["part"],
             "doc_ids": pa.LargeListArray.from_arrays(
@@ -592,7 +593,6 @@ def _compact_one_bucket(dest: str, avgdl: float, k1: float,
             partial = partial.filter(pa.array(alive_rows))
         if partial.num_rows:
             merged = merge_bucket_table(partial, avgdl, k1, b)
-            merged = merged.drop_columns(["bucket"])
         else:
             # every posting in this bucket was tombstoned
             merged = pa.table({
@@ -797,9 +797,7 @@ def _merge_one_bucket(bucket_dirs: list[str], out_dir: str, bucket: int,
     distinct counts sum globally). Idempotent: writes to a temp file and
     renames; a per-segment ``_SUCCESS.<file>`` marker short-circuits
     re-runs."""
-    import numpy as np
     import pyarrow as pa
-    import pyarrow.dataset as pads
     import pyarrow.parquet as pq
 
     from ..stages.tokenizer import merge_bucket_table
@@ -820,14 +818,9 @@ def _merge_one_bucket(bucket_dirs: list[str], out_dir: str, bucket: int,
                                  else f"_SUCCESS.{stem}"))
     fresh = None
     if not os.path.exists(marker):
-        files = [os.path.join(d, f)
-                 for d in bucket_dirs for f in sorted(os.listdir(d))
-                 if f.endswith(".parquet")]
-        part_tbl = pads.dataset(files).to_table()
-        part_tbl = part_tbl.append_column("bucket", pa.array(
-            np.full(part_tbl.num_rows, bucket, dtype=np.int32)))
+        part_tbl = read_spill([f for d in bucket_dirs
+                               for f in spill_files(d)])
         merged = merge_bucket_table(part_tbl, avgdl, k1, b)
-        merged = merged.drop_columns(["bucket"])  # hive dir carries it
         os.makedirs(dest, exist_ok=True)
         tmp = os.path.join(dest, f".{file_name}.tmp")
         pq.write_table(merged, tmp)
@@ -897,7 +890,7 @@ def _shift_docs_shard(src: str, dest: str, offset: int) -> None:
 
 
 def _merge_shards_one_bucket(srcs: list[tuple[str, int]], dest: str,
-                             bucket: int, doc_part_bits: int,
+                             doc_part_bits: int,
                              avgdl: float, k1: float,
                              b: float) -> tuple[int, int]:
     """Merge one term bucket across shard indexes: decode every shard's
@@ -948,8 +941,6 @@ def _merge_shards_one_bucket(srcs: list[tuple[str, int]], dest: str,
         new_off = np.append(starts, len(ids_flat)).astype(np.int64)
         parent = pa.array(row_of[starts])
         partials.append(pa.table({
-            "bucket": pa.array(np.full(len(starts), bucket,
-                                       dtype=np.int32)),
             "term": rows["term"].take(parent),
             "part": pa.array(parts_flat[starts].astype(np.int32)),
             "doc_ids": pa.LargeListArray.from_arrays(
@@ -963,7 +954,6 @@ def _merge_shards_one_bucket(srcs: list[tuple[str, int]], dest: str,
     if partials:
         merged = merge_bucket_table(
             pa.concat_tables(partials).combine_chunks(), avgdl, k1, b)
-        merged = merged.drop_columns(["bucket"])
         tmp = os.path.join(dest, ".shardmerge.tmp")
         pq.write_table(merged, tmp)
         os.replace(tmp, os.path.join(dest, "merged.parquet"))
@@ -1037,8 +1027,8 @@ def merge_index_roots(roots: list[str], out_dir: str) -> BuiltIndex:
     refs = [task.remote(
         [(os.path.join(s.root, "postings", d), off)
          for s, off in zip(shards, offsets)],
-        os.path.join(postings_dir, d), int(d.rsplit("=", 1)[1]),
-        first.doc_part_bits, avgdl, first.k1, first.b)
+        os.path.join(postings_dir, d), first.doc_part_bits, avgdl,
+        first.k1, first.b)
         for d in buckets]
     results = ray.get(refs)
     ray.get(doc_refs)

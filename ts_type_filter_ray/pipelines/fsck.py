@@ -26,8 +26,9 @@ scan ONCE, in parallel, and ship only constant-size evidence:
   O(parts), never O(docs). Same construction as the build manifest's
   ``sha256_xor_rollup`` (state/manifest.py).
 
-The per-row ``hashlib.sha256`` loop matches the build's own PrepDocs
-contract (no vectorized Arrow kernel exists; hashlib releases the GIL).
+The per-row ``hashlib.sha256`` loop matches the build's own doc-meta
+rows (``TokenizePartials(emit_meta=True)``; no vectorized Arrow kernel
+exists; hashlib releases the GIL).
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ production full-text engine uses for phrases:
 
   corpus ─map_batches(tokenize: lower + whitespace split + POSITIONS)
          ─ partial rows (term, part) → doc_ids / pcounts / positions
-         ─ write_parquet(partition_cols=["bucket"])   (shuffle-free spill)
+         ─ SpillDatasink → partials/bucket=*/<task>.arrow  (shuffle-free
+           spill, state/spill.py)
   bucket ─ one merge task per bucket → delta/varint-compressed rows:
              doc_ids_enc   varint(delta doc_ids)
              pcounts_enc   varint(#positions per doc ≡ tf)
@@ -57,12 +58,15 @@ from ray.data import Dataset
 
 from ..state import postings as plib
 from ..state.postings import term_bucket
+from ..state.spill import SpillDatasink, read_spill, spill_files
 
 #: positions live in the low bits of the (doc, pos) key; any doc with
 #: doc_len >= 2**POS_BITS is rejected at build time so a +1 key shift
 #: can never cross into the next document.
 POS_BITS = 22
 _MAX_DOC_LEN = (1 << POS_BITS) - 1
+#: what a positional posting row keeps in the spill
+_SPILL_COLUMNS = ("term", "part", "doc_ids", "pcounts", "poss")
 
 
 def tokenize_positions_task(batch: pa.Table, *,
@@ -214,15 +218,17 @@ class PositionalIndex:
             json.dump(meta, f, indent=1)
 
 
-def _merge_one_positional_bucket(bucket_dir: str, out_dir: str,
+def _merge_one_positional_bucket(bucket_dir: str | None, out_dir: str,
                                  bucket: int,
-                                 file_name: str = "merged.parquet"
+                                 file_name: str = "merged.parquet",
+                                 partial: pa.Table | None = None
                                  ) -> tuple[int, int, int]:
-    """One bucket's partial files → one compressed positional segment
-    (*file_name* — ``segment_<g>.parquet`` for LSM extensions).
-    Returns (distinct_terms, postings, positions). Idempotent via a
-    ``_SUCCESS``(.stem) marker (same two-phase-commit shape as the main
-    merge)."""
+    """One bucket's partial spill files under *bucket_dir* — or the
+    in-memory *partial* rows, for compaction — → one compressed
+    positional segment (*file_name* — ``segment_<g>.parquet`` for LSM
+    extensions). Returns (distinct_terms, postings, positions).
+    Idempotent via a ``_SUCCESS``(.stem) marker (same two-phase-commit
+    shape as the main merge)."""
     try:
         pa.set_cpu_count(1)
         pa.set_io_thread_count(1)
@@ -234,10 +240,9 @@ def _merge_one_positional_bucket(bucket_dir: str, out_dir: str,
                                  else f"_SUCCESS.{stem}"))
     out_file = os.path.join(dest, file_name)
     if not os.path.exists(marker):
-        files = [os.path.join(bucket_dir, f)
-                 for f in sorted(os.listdir(bucket_dir))
-                 if f.endswith(".parquet")]
-        tbl = pads.dataset(files).to_table().combine_chunks()
+        if partial is None:
+            partial = read_spill(spill_files(bucket_dir))
+        tbl = partial.combine_chunks()
 
         enc = tbl["term"].combine_chunks().dictionary_encode()
         codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
@@ -378,7 +383,7 @@ def build_positional_index(corpus: Dataset, out_dir: str, *,
                    "doc_part_bits": doc_part_bits,
                    "stemmer": stemmer},
         batch_format="pyarrow", batch_size=batch_size,
-    ).write_parquet(partials_dir, partition_cols=["bucket"])
+    ).write_datasink(SpillDatasink(partials_dir, _SPILL_COLUMNS))
 
     postings_dir = os.path.join(out_dir, "postings")
     shutil.rmtree(postings_dir, ignore_errors=True)
@@ -507,7 +512,7 @@ def extend_positional_index(root: str, new_corpus: Dataset, *,
                    "doc_part_bits": idx.doc_part_bits,
                    "stemmer": stemmer},
         batch_format="pyarrow", batch_size=batch_size,
-    ).write_parquet(partials_dir, partition_cols=["bucket"])
+    ).write_datasink(SpillDatasink(partials_dir, _SPILL_COLUMNS))
 
     postings_dir = idx.postings_dir
     # clear leftovers of a CRASHED attempt at this same generation —
@@ -604,14 +609,8 @@ def _compact_one_positional_bucket(postings_dir: str, tmp_dir: str,
     single ``merged.parquet`` under *tmp_dir* (the swap happens on the
     driver once every bucket committed)."""
     dest = os.path.join(postings_dir, f"bucket={bucket}")
-    partial = _decode_segments_to_partial(dest)
-    stage = os.path.join(tmp_dir, f"stage_{bucket}")
-    os.makedirs(stage, exist_ok=True)
-    pq.write_table(partial, os.path.join(stage, "partial.parquet"))
-    out = _merge_one_positional_bucket(stage, tmp_dir, bucket)
-    import shutil
-    shutil.rmtree(stage, ignore_errors=True)
-    return out
+    return _merge_one_positional_bucket(
+        None, tmp_dir, bucket, partial=_decode_segments_to_partial(dest))
 
 
 def compact_positional_index(root: str) -> PositionalIndex:

@@ -95,6 +95,17 @@ class CorpusDatasource(Datasource):
     def get_name(self) -> str:
         return "Corpus"
 
+    def num_read_tasks(self, parallelism: int | None = None) -> int:
+        """How many read tasks :meth:`get_read_tasks` makes: one per
+        *parallelism* (if given), at most one per row group and at most
+        4 per cluster CPU (Ray's default parallelism hint floors at
+        200, which defeats the bundling; 4 per CPU leaves slack for
+        stragglers at a bounded dispatch cost)."""
+        cap = 4 * _cluster_cpus()
+        if parallelism is not None:
+            cap = min(cap, parallelism)
+        return max(1, min(len(self._tasks), cap))
+
     def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
         """Bundle contiguous row groups into ≤ ``parallelism`` tasks.
 
@@ -104,15 +115,7 @@ class CorpusDatasource(Datasource):
         non-scaling floor. Honoring the executor's parallelism hint
         keeps tasks ≫ cpus without drowning the dispatcher."""
         tasks = self._tasks
-        # Ray's default parallelism hint floors at 200, which defeats the
-        # bundling; cap at 4 tasks per cluster CPU (plenty of slack for
-        # stragglers, bounded dispatch cost)
-        try:
-            import ray
-            n_cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            n_cpus = 8
-        n_bundles = max(1, min(len(tasks), parallelism, 4 * n_cpus))
+        n_bundles = self.num_read_tasks(parallelism)
         cols = self._columns
         out = []
         for b in range(n_bundles):
@@ -137,6 +140,25 @@ class CorpusDatasource(Datasource):
         return out
 
 
+def _cluster_cpus() -> int:
+    try:
+        import ray
+        return int(ray.cluster_resources().get("CPU", 8))
+    except Exception:
+        return 8
+
+
+def read_corpus_source(source: CorpusDatasource) -> Dataset:
+    """``read_datasource`` with as many output blocks as read tasks, and
+    at least one per cluster CPU. Ray splits each read task's output
+    whenever it expects fewer blocks than that; a split read cannot fuse
+    with the stages after it, so the build's read → tokenize → spill
+    runs as one task per read task when there are enough read tasks,
+    and is split across CPUs when there are not."""
+    return rd.read_datasource(source, override_num_blocks=max(
+        source.num_read_tasks(), _cluster_cpus()))
+
+
 def read_corpus(path_or_dir: str | list[str],
                 columns: list[str] | None = None) -> Dataset:
     """Read a corpus directory as a Dataset with dense deterministic
@@ -145,7 +167,7 @@ def read_corpus(path_or_dir: str | list[str],
     files = corpus_files(path_or_dir)
     if not files:
         raise FileNotFoundError(f"no parquet files under {path_or_dir!r}")
-    return rd.read_datasource(CorpusDatasource(files, columns))
+    return read_corpus_source(CorpusDatasource(files, columns))
 
 
 def corpus_from_documents(sf_dir: str) -> Dataset:

@@ -4,16 +4,16 @@ This is the engine's re-expression of the reference's ingestion loop
 (extract → break → stem, ``ts_type_filter/inverted_index.py:57-65``) as a
 stateful ``map_batches`` stage over Arrow batches:
 
-- ``PrepDocs``: per-row sha256 (the `input_hint` per-row invariant) and
-  ``doc_len`` (whitespace token count — BM25's dl).
-- ``TokenizePartials``: callable tokenizer run in the task pool; per batch it
-  stems every token (stem cache shared across batches via the module-level
+- ``TokenizePartials``: callable tokenizer run in the task pool; it cuts
+  each block into ``batch_size``-doc slices and per slice it stems every
+  token (stem cache shared across batches via the module-level
   lru_cache in :mod:`..text.porter2`) and emits **partial postings** —
-  one row per (term, doc_partition) present in the batch, with parallel
-  ``doc_ids``/``tfs``/``dls`` list columns. This per-batch partial
-  aggregation is the combiner that keeps the ``groupby`` shuffle small:
-  a hot term like ``import`` ships one row per batch, not one per
-  document (SURVEY.md §4 "Skew").
+  one row per (term, doc_partition) present in the slice, with parallel
+  ``doc_ids``/``tfs``/``dls`` list columns. This per-slice partial
+  aggregation is the combiner that keeps the spill small: a hot term
+  like ``import`` ships one row per slice, not one per document
+  (SURVEY.md §4 "Skew"). With ``emit_meta`` it also emits one per-doc
+  metadata row (sha256, doc_len) per input doc.
 
 Doc partitioning: ``part = doc_id >> doc_part_bits`` splits every term's
 posting list into bounded doc-id ranges, so no single merge group ever
@@ -35,32 +35,25 @@ from ..text.porter2 import stem
 DEFAULT_DOC_PART_BITS = 20  # 1M docs per doc-partition
 
 
-def prep_docs(batch: pa.Table) -> pa.Table:
-    """Doc-metadata projection: sha256(content) + doc_len, content dropped."""
-    contents = batch["content"].to_pylist()
-    shas = [hashlib.sha256(c.encode("utf-8")).hexdigest() for c in contents]
-    dls = [len(c.split()) for c in contents]
-    cols = {name: batch[name] for name in batch.column_names if name != "content"}
-    cols["sha256"] = pa.array(shas, type=pa.string())
-    cols["doc_len"] = pa.array(dls, type=pa.int32())
-    return pa.table(cols)
-
-
 class TokenizePartials:
-    """Tokenize stage: (doc_id, content) batches → partial posting rows.
+    """Tokenize stage: (doc_id, content) blocks → partial posting rows.
 
     Runs in the fused task pool: the default form as the per-worker
     ``tokenize_task`` singleton, a custom breaker/stemmer/stopword form
-    as an instance passed straight to ``map_batches``.
+    as an instance passed straight to ``map_batches``. It takes whole
+    blocks (``map_batches(batch_size=None)``) and cuts them into
+    ``batch_size``-doc slices itself: a ``map_batches`` batch size would
+    stop Ray Data from fusing the stage with the read.
 
     Output schema:
       term:string, part:int32, bucket:int32, doc_ids:list<int64>,
       tfs:list<int32>, dls:list<int32>
     doc_ids ascending within each row (docs arrive in doc_id order within
-    a batch; the merge re-sorts defensively anyway). ``bucket`` is the
-    term's hash bucket — the downstream shuffle groups by bucket alone
-    (few large groups, vectorized merge) instead of per-(term, part)
-    (millions of tiny groups → per-group dispatch overhead dominates).
+    a slice; the merge re-sorts defensively anyway). ``bucket`` is the
+    term's hash bucket — the spill (``state/spill.py``) partitions by
+    bucket alone (few large groups, vectorized merge) instead of
+    per-(term, part) (millions of tiny groups → per-group dispatch
+    overhead dominates).
     """
 
     #: columns never passed through into doc-meta rows
@@ -69,7 +62,7 @@ class TokenizePartials:
     def __init__(self, doc_part_bits: int = DEFAULT_DOC_PART_BITS,
                  num_term_buckets: int = 32,
                  breaker=None, stemmer=None, emit_meta: bool = False,
-                 stopwords=None):
+                 stopwords=None, batch_size: int | None = None):
         """``breaker``/``stemmer`` preserve the reference's extension
         surface (``Index(extractor=None, breaker=None, stemmer=None)``,
         ``inverted_index.py:36-39``); defaults are the reference-
@@ -89,7 +82,10 @@ class TokenizePartials:
         AND from doc_len — a stopworded index behaves as if the words
         were never written. The set is per-instance state (built once in
         __init__), and on the vectorized path membership is tested once
-        per UNIQUE batch token, never per posting."""
+        per UNIQUE batch token, never per posting.
+
+        ``batch_size`` is the slice length (``None``: the whole block is
+        one slice)."""
         self._part_bits = doc_part_bits
         self._num_buckets = num_term_buckets
         # module-level lru_cache: hot vocab amortized per worker process
@@ -99,8 +95,16 @@ class TokenizePartials:
         self._emit_meta = emit_meta
         self._stop = frozenset(w.lower() for w in stopwords) \
             if stopwords else None
+        self._batch_size = batch_size
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, block: pa.Table) -> pa.Table:
+        n = block.num_rows
+        step = self._batch_size or max(n, 1)
+        outs = [self._tokenize_slice(block.slice(lo, step))
+                for lo in range(0, max(n, 1), step)]
+        return outs[0] if len(outs) == 1 else pa.concat_tables(outs)
+
+    def _tokenize_slice(self, batch: pa.Table) -> pa.Table:
         if self._break is None:
             postings, doc_lens = self._tokenize_vectorized(batch)
         else:
@@ -301,18 +305,20 @@ _TOKENIZER_SINGLETONS: dict[tuple, TokenizePartials] = {}
 
 
 def tokenize_task(batch: pa.Table, *, doc_part_bits: int,
-                  num_term_buckets: int, emit_meta: bool) -> pa.Table:
+                  num_term_buckets: int, emit_meta: bool,
+                  batch_size: int | None = None) -> pa.Table:
     """Task-pool form of :class:`TokenizePartials` for the default
     breaker/stemmer: a per-worker-process singleton keyed by params (the
     stem lru-cache is module-level, so worker reuse keeps it warm). As a
     plain function the executor fuses read → tokenize → write into ONE
     task — the partial rows never transit the object store, and no CPU
     is pinned to an actor pool while the write stage starves."""
-    key = (doc_part_bits, num_term_buckets, emit_meta)
+    key = (doc_part_bits, num_term_buckets, emit_meta, batch_size)
     tok = _TOKENIZER_SINGLETONS.get(key)
     if tok is None:
         tok = _TOKENIZER_SINGLETONS[key] = TokenizePartials(
-            doc_part_bits, num_term_buckets, emit_meta=emit_meta)
+            doc_part_bits, num_term_buckets, emit_meta=emit_meta,
+            batch_size=batch_size)
     return tok(batch)
 
 
@@ -337,7 +343,10 @@ def meta_rows_to_docs(batch: pa.Table) -> pa.Table:
 def merge_bucket_table(group: pa.Table, avgdl: float, k1: float,
                        b: float) -> pa.Table:
     """Merge + delta/varint-compress ALL partial posting rows of one term
-    bucket, given as a single Arrow table.
+    bucket, given as a single Arrow table (columns ``term, part, doc_ids,
+    tfs, dls``; others are ignored). Output rows are in (term, part)
+    order whatever the input row order, so the merged bytes do not depend
+    on how the tokenize stage cut the corpus into slices.
 
     Fast path: partial rows are emitted sorted by (term, part) within
     each tokenize batch, and each batch covers a doc range disjoint from
@@ -357,9 +366,13 @@ def merge_bucket_table(group: pa.Table, avgdl: float, k1: float,
     from ..state import postings as plib
 
     group = group.combine_chunks()
-    bucket = group["bucket"][0].as_py()
     enc = group["term"].combine_chunks().dictionary_encode()
-    codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    # codes ranked by term, not by first appearance: (term, part) order
+    by_term = pc.array_sort_indices(enc.dictionary).to_numpy()
+    rank = np.empty(len(by_term), dtype=np.int64)
+    rank[by_term] = np.arange(len(by_term), dtype=np.int64)
+    vocab = enc.dictionary.take(pa.array(by_term))
+    codes = rank[enc.indices.to_numpy(zero_copy_only=False)]
     parts = group["part"].to_numpy(zero_copy_only=False).astype(np.int64)
 
     dcol = group["doc_ids"].combine_chunks()
@@ -435,23 +448,15 @@ def merge_bucket_table(group: pa.Table, avgdl: float, k1: float,
     dl_f = dl_s.astype(np.float64)
     contrib = tf_f * (k1 + 1.0) / (tf_f + k1 * (1.0 - b + b * dl_f / avgdl))
     imps = np.maximum.reduceat(contrib, starts)
-    terms_o = enc.dictionary.take(pa.array(run_keys >> np.int64(32)))
+    terms_o = vocab.take(pa.array(run_keys >> np.int64(32)))
     parts_o = (run_keys & np.int64(0xFFFFFFFF)).astype(np.int32)
     dfs_o = ends - starts
     return pa.table({
         "term": terms_o.cast(pa.string()),
         "part": pa.array(parts_o, type=pa.int32()),
-        "bucket": pa.array(np.full(len(run_keys), bucket, dtype=np.int32)),
         "df": pa.array(dfs_o, type=pa.int64()),
         "doc_ids_enc": d_enc,
         "tfs_enc": t_enc,
         "dls_enc": l_enc,
         "max_impact": pa.array(imps, type=pa.float64()),
     })
-
-
-def make_bucket_merger(avgdl: float, k1: float, b: float):
-    """Adapter for ``groupby("bucket").map_groups`` over partial rows."""
-    def merge(group: pa.Table) -> pa.Table:
-        return merge_bucket_table(group, avgdl, k1, b)
-    return merge

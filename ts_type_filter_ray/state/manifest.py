@@ -2,21 +2,20 @@
 from checkpoint with per-partition lineage + metrics").
 
 Unit of work = an input **shard** (a group of corpus files). Each shard
-runs ONE single-pass Ray Data pipeline: read its row groups → tokenize →
-per-batch partial postings **and** per-doc metadata rows in a combined
-stream → atomically written to ``partials/shard=<i>/`` (write to a temp
-dir, rename). A manifest entry records the shard's lineage fingerprint
-(input files + row counts), counters (docs, tokens, postings rows) and a
-sha256 XOR rollup of its documents — the per-row invariant aggregated
-order-independently.
+runs the build's own tokenize + spill (``pipelines.build._tokenize_spill``)
+over its row groups: per-slice partial postings **and** per-doc metadata
+rows, spilled in the ``state/spill.py`` layout to ``partials/shard=<i>/``
+(written to a temp dir, then renamed). A manifest entry records the
+shard's lineage fingerprint (input files + row counts), counters (docs,
+total doc length) and a sha256 XOR rollup of its documents — the per-row
+invariant aggregated order-independently.
 
 Resume = re-run the same call: shards whose manifest entry is ``done``
 AND whose lineage fingerprint still matches are skipped (zero
-recomputation); only the cheap finalize (merge groupby over the partials,
-≪ tokenize cost) re-runs.
-
-The combined stream uses ``part = -1`` rows for doc metadata (postings
-rows always have ``part >= 0``); doc columns ride along nullable.
+recomputation); only the cheap finalize (the build's docs table and
+per-bucket merge over every shard's partials, ≪ tokenize cost) re-runs.
+Partials written under different build params — or in an older spill
+layout — are wiped and re-tokenized.
 """
 
 from __future__ import annotations
@@ -26,11 +25,11 @@ import json
 import os
 import shutil
 
-import pyarrow as pa
-import pyarrow.dataset as pads
+import pyarrow.compute as pc
 
 from ..sources.corpus import _row_group_tasks, corpus_files
 from ..stages.tokenizer import DEFAULT_DOC_PART_BITS
+from .spill import LAYOUT, read_spill, spill_files
 
 
 def _shard_fingerprint(tasks: list[dict]) -> str:
@@ -68,7 +67,8 @@ def build_partials(corpus_dir: str, out_dir: str, *, num_shards: int = 4,
     """Run (or resume) the tokenize pass shard by shard. Returns the
     manifest. ``max_shards_this_run`` lets tests simulate an interruption.
     """
-    import ray.data as rd
+    from ..pipelines.build import _tokenize_spill
+    from ..sources.corpus import CorpusDatasource, read_corpus_source
 
     os.makedirs(os.path.join(out_dir, "partials"), exist_ok=True)
     files = corpus_files(corpus_dir)
@@ -80,9 +80,11 @@ def build_partials(corpus_dir: str, out_dir: str, *, num_shards: int = 4,
 
     # partials from a different sharding/bucketing layout are incompatible:
     # resuming into them would mix or double-count postings (ADVICE r1).
-    # num_shards in the key also makes orphaned shard ids impossible.
+    # num_shards in the key also makes orphaned shard ids impossible, and
+    # the spill layout in the key re-tokenizes partials written in an
+    # older on-disk format that finalize could not read.
     params = {"num_shards": num_shards, "num_term_buckets": num_term_buckets,
-              "doc_part_bits": doc_part_bits}
+              "doc_part_bits": doc_part_bits, "spill": LAYOUT}
     manifest = load_manifest(out_dir)
     if manifest["shards"] and manifest.get("params") != params:
         shutil.rmtree(os.path.join(out_dir, "partials"), ignore_errors=True)
@@ -117,30 +119,20 @@ def build_partials(corpus_dir: str, out_dir: str, *, num_shards: int = 4,
         shutil.rmtree(tmp_dir, ignore_errors=True)
         shutil.rmtree(final_dir, ignore_errors=True)
 
-        from ..sources.corpus import CorpusDatasource
-        from ..stages.tokenizer import tokenize_task
-        ds = rd.read_datasource(CorpusDatasource(flist, tasks=tasks))
-        # stateless task pool → read→tokenize→write fuse into one task
-        # per block, same as the non-checkpointed build
-        stream = ds.map_batches(tokenize_task,
-                                fn_kwargs={
-                                    "doc_part_bits": doc_part_bits,
-                                    "num_term_buckets": num_term_buckets,
-                                    "emit_meta": True},
-                                batch_format="pyarrow",
-                                batch_size=tokenize_batch_size)
-        # bucket-partitioned spill: the merge reads shard=*/bucket=<i>
-        # directly, no shuffle (doc-meta rows land under bucket=-1)
-        stream.write_parquet(tmp_dir, partition_cols=["bucket"])
+        # the build's own fused read → tokenize → spill; the merge reads
+        # shard=*/bucket=<i> directly (doc-meta rows land under bucket=-1)
+        ds = read_corpus_source(CorpusDatasource(flist, tasks=tasks))
+        _tokenize_spill(ds, tmp_dir, doc_part_bits, num_term_buckets,
+                        tokenize_batch_size, None, None, None)
 
         # counters + sha rollup from the written doc-meta rows (small
         # read). A shard whose stripe holds only ZERO-ROW files writes
         # no partitions at all — legal, it contributes nothing.
         meta_dir = os.path.join(tmp_dir, "bucket=-1")
         if os.path.isdir(meta_dir):
-            meta = pads.dataset(meta_dir).to_table(columns=["term", "dls"])
+            meta = read_spill(spill_files(meta_dir))
             n_docs = meta.num_rows
-            total_dl = sum(x[0].as_py() for x in meta["dls"])
+            total_dl = pc.sum(pc.list_flatten(meta["dls"])).as_py() or 0
             rollup = 0
             for sha in meta["term"].to_pylist():
                 rollup ^= int(sha, 16)
@@ -169,10 +161,8 @@ def finalize_index(out_dir: str, *, num_term_buckets: int = 32,
     """Merge all shard partials into the final index layout (same layout
     as :func:`..pipelines.build.build_index`). Small relative to tokenize;
     re-runs wholesale on resume."""
-    import ray.data as rd
-
     from ..oracle.index import BM25_B, BM25_K1
-    from ..pipelines.build import (BuiltIndex, IndexStats,
+    from ..pipelines.build import (BuiltIndex, IndexStats, _write_docs_table,
                                    merge_partial_buckets)
 
     k1 = BM25_K1 if k1 is None else k1
@@ -201,20 +191,14 @@ def finalize_index(out_dir: str, *, num_term_buckets: int = 32,
         if d.startswith("shard=") and d not in valid:
             shutil.rmtree(os.path.join(partials_dir, d), ignore_errors=True)
 
-    # docs table from the doc-meta rows (bucket=-1 dirs)
+    # docs table from the doc-meta rows (bucket=-1 dirs), in shard order
     meta_dirs = [os.path.join(partials_dir, s, "bucket=-1")
-                 for s in sorted(os.listdir(partials_dir))
-                 if s.startswith("shard=") and s in valid]
-    meta_files = [os.path.join(d, f)
-                  for d in meta_dirs for f in sorted(os.listdir(d))
-                  if f.endswith(".parquet")]
-
-    from ..stages.tokenizer import meta_rows_to_docs as to_docs
-
+                 for s in sorted(valid, key=lambda d: int(d.split("=")[1]))]
+    meta_files = [f for d in meta_dirs if os.path.isdir(d)
+                  for f in spill_files(d)]
     docs_dir = os.path.join(out_dir, "docs")
     shutil.rmtree(docs_dir, ignore_errors=True)
-    rd.read_parquet(meta_files).map_batches(
-        to_docs, batch_format="pyarrow").write_parquet(docs_dir)
+    _write_docs_table(meta_files, docs_dir)
 
     # postings: per-bucket merge tasks over the shard=*/bucket=<i> spill
     post_dir = os.path.join(out_dir, "postings")
@@ -227,7 +211,7 @@ def finalize_index(out_dir: str, *, num_term_buckets: int = 32,
         num_unique_terms=n_terms,
         num_postings=n_postings,
         k1=k1, b=b, doc_part_bits=doc_part_bits,
-        num_term_buckets=num_term_buckets)
+        num_term_buckets=num_term_buckets, min_merge_avgdl=avgdl)
     with open(os.path.join(out_dir, "stats.json"), "w") as f:
         json.dump(stats.__dict__, f, indent=1)
     return BuiltIndex(root=out_dir, stats=stats)
