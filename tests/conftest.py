@@ -21,6 +21,47 @@ def ray_session():
     ray.shutdown()
 
 
+class GraphBackend:
+    """Selects the state backend of the iterative graph family
+    (``functions/graph.py``) for the rest of a test. The backend follows
+    ``num_nodes > AUTO_DATASET_STATE_NODES``; ``use("dataset")`` lowers
+    the threshold to 0, so every later call takes the Dataset-state
+    backend, and ``use("broadcast")`` restores it."""
+
+    names = ("broadcast", "dataset")
+
+    def __init__(self, monkeypatch):
+        from ts_type_filter_ray.functions import graph
+
+        self._mp, self._graph = monkeypatch, graph
+        self._default = graph.AUTO_DATASET_STATE_NODES
+
+    def use(self, name: str) -> None:
+        self._mp.setattr(self._graph, "AUTO_DATASET_STATE_NODES",
+                         0 if name == "dataset" else self._default)
+
+    def each(self):
+        """Yield each backend name with that backend selected."""
+        for name in self.names:
+            self.use(name)
+            yield name
+
+    @staticmethod
+    def table(out):
+        """A graph result as a ``pa.Table`` (the Dataset backend returns
+        a node-ascending Dataset)."""
+        import pyarrow as pa
+
+        if isinstance(out, pa.Table):
+            return out
+        return pa.Table.from_pandas(out.to_pandas(), preserve_index=False)
+
+
+@pytest.fixture
+def graph_backend(monkeypatch):
+    return GraphBackend(monkeypatch)
+
+
 @pytest.fixture(scope="session")
 def sonnets_corpus_dir(tmp_path_factory):
     """F2 sonnets-analog corpus written as a 2-file parquet dir."""

@@ -47,14 +47,15 @@ def test_bfs_shortest_wins_over_cycle(ray_session):
     assert got == {0: 0, 1: 1, 2: 2, 3: 1}
 
 
-def test_bfs_contract_errors(ray_session):
-    e = _edges([(0, 7)])  # endpoint 7 outside num_nodes=4
-    with pytest.raises(Exception, match="outside"):
-        bfs_hops(e, 4, sources=(0,))
-    with pytest.raises(ValueError, match="source ids"):
-        bfs_hops(_edges([(0, 1)]), 2, sources=(5,))
-    with pytest.raises(ValueError, match="at least one source"):
-        bfs_hops(_edges([(0, 1)]), 2, sources=())
+def test_bfs_contract_errors(ray_session, graph_backend):
+    for _ in graph_backend.each():
+        e = _edges([(0, 7)])  # endpoint 7 outside num_nodes=4
+        with pytest.raises(Exception, match="outside"):
+            bfs_hops(e, 4, sources=(0,))
+        with pytest.raises(ValueError, match="source ids"):
+            bfs_hops(_edges([(0, 1)]), 2, sources=(5,))
+        with pytest.raises(ValueError, match="at least one source"):
+            bfs_hops(_edges([(0, 1)]), 2, sources=())
 
 
 def test_bfs_knn_gate_matches_oracle(ray_session):
@@ -88,16 +89,18 @@ def test_kcore_triangle_peel(ray_session):
     assert t2["node"].to_pylist() == [0, 1, 2]
 
 
-def test_kcore_multigraph_and_guards(ray_session):
+def test_kcore_multigraph_and_guards(ray_session, graph_backend):
     import pytest as _pytest
 
     from ts_type_filter_ray.functions.graph import kcore
-    # double edge counts twice: node 0 and 1 have degree 2 → 2-core
-    e = _edges([(0, 1), (0, 1)])
-    assert kcore(e, 2, k=2)["node"].to_pylist() == [0, 1]
-    with _pytest.raises(RuntimeError, match="stabilize"):
-        # chain needs 3 peel rounds; max_rounds=1 must raise loudly
-        kcore(_edges([(0, 1), (1, 2), (2, 3)]), 4, k=2, max_rounds=1)
+    for _ in graph_backend.each():
+        # double edge counts twice: node 0 and 1 have degree 2 → 2-core
+        e = _edges([(0, 1), (0, 1)])
+        t = graph_backend.table(kcore(e, 2, k=2))
+        assert t["node"].to_pylist() == [0, 1]
+        with _pytest.raises(RuntimeError, match="stabilize"):
+            # chain needs 3 peel rounds; max_rounds=1 must raise loudly
+            kcore(_edges([(0, 1), (1, 2), (2, 3)]), 4, k=2, max_rounds=1)
 
 
 def test_kcore_knn_gate_matches_oracle(ray_session):
@@ -117,14 +120,16 @@ def test_kcore_knn_gate_matches_oracle(ray_session):
     assert got.equals(want[got.columns])
 
 
-def test_kcore_exact_depth_cascade_matches_unroll(ray_session):
+def test_kcore_exact_depth_cascade_matches_unroll(ray_session,
+                                                  graph_backend):
     """A cascade needing exactly max_rounds kill rounds must SUCCEED
     (regression: the old loop raised one round early)."""
     from ts_type_filter_ray.functions.graph import kcore
-    # path of 8 nodes, k=2: each round peels both endpoints → 4 kill
-    # rounds empty the graph
-    e = _edges([(i, i + 1) for i in range(7)])
-    t = kcore(e, 8, k=2, max_rounds=4)
-    assert t.num_rows == 0
-    with pytest.raises(RuntimeError, match="stabilize"):
-        kcore(e, 8, k=2, max_rounds=3)
+    for _ in graph_backend.each():
+        # path of 8 nodes, k=2: each round peels both endpoints → 4 kill
+        # rounds empty the graph
+        e = _edges([(i, i + 1) for i in range(7)])
+        t = graph_backend.table(kcore(e, 8, k=2, max_rounds=4))
+        assert t.num_rows == 0
+        with pytest.raises(RuntimeError, match="stabilize"):
+            kcore(e, 8, k=2, max_rounds=3)

@@ -61,8 +61,9 @@ def test_multi_edges_count(ray_session):
     assert t["authority"].to_pylist() == list(a)
 
 
-def test_overflow_guard(ray_session):
+def test_overflow_guard(ray_session, graph_backend):
     pairs = [(s, d) for s in range(12) for d in range(12) if s != d]
-    with pytest.raises(ValueError, match="2\\^62"):
-        hits(_edges(pairs), 12, iters=12)
+    for _ in graph_backend.each():
+        with pytest.raises(ValueError, match="2\\^62"):
+            hits(_edges(pairs), 12, iters=12)
 

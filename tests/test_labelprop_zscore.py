@@ -28,14 +28,16 @@ def test_lpa_two_cliques(ray_session):
     assert lab[0] != lab[3]
 
 
-def test_lpa_tie_break_and_isolated(ray_session):
-    # node 2 sees labels {0, 1} once each → tie breaks to min label 0;
-    # node 9 is isolated and keeps its own label
-    e = _edges([(0, 2), (1, 2)])
-    t = label_propagation(e, 10, iters=1, directed=False)
-    lab = dict(zip(t["node"].to_pylist(), t["label"].to_pylist()))
-    assert lab[2] == 0
-    assert lab[9] == 9
+def test_lpa_tie_break_and_isolated(ray_session, graph_backend):
+    for _ in graph_backend.each():
+        # node 2 sees labels {0, 1} once each → tie breaks to min label
+        # 0; node 9 is isolated and keeps its own label
+        e = _edges([(0, 2), (1, 2)])
+        t = graph_backend.table(
+            label_propagation(e, 10, iters=1, directed=False))
+        lab = dict(zip(t["node"].to_pylist(), t["label"].to_pylist()))
+        assert lab[2] == 0
+        assert lab[9] == 9
 
 
 def test_lpa_multigraph_votes(ray_session):

@@ -96,13 +96,14 @@ def test_shortest_paths_round_bound_is_path_length(ray_session):
     assert d == {0: 0, 1: 1, 2: 2}
 
 
-def test_shortest_paths_contract_errors(ray_session):
-    e = _wedges([(0, 1, -1)])
-    with pytest.raises(Exception, match="non-negative"):
-        shortest_paths(e, 2, sources=(0,), rounds=2, weight_col="w")
-    with pytest.raises(ValueError, match="source ids"):
-        shortest_paths(_wedges([(0, 1, 1)]), 2, sources=(9,),
-                       rounds=2, weight_col="w")
+def test_shortest_paths_contract_errors(ray_session, graph_backend):
+    for _ in graph_backend.each():
+        e = _wedges([(0, 1, -1)])
+        with pytest.raises(Exception, match="non-negative"):
+            shortest_paths(e, 2, sources=(0,), rounds=2, weight_col="w")
+        with pytest.raises(ValueError, match="source ids"):
+            shortest_paths(_wedges([(0, 1, 1)]), 2, sources=(9,),
+                           rounds=2, weight_col="w")
 
 
 def test_shortest_paths_knn_gate_matches_oracle(ray_session):

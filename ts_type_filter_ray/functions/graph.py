@@ -1,23 +1,26 @@
-"""Distributed connected components — the step that turns the dedup
-family's PAIR output (minhash / simhash / n-gram Jaccard / embedding
-near-dup) into CLUSTERS with a canonical representative, so "keep one
-doc per near-dup group" is answerable at scale.
+"""Graph operators over Ray Datasets with dense int64 node ids.
 
-Hash-to-min label propagation (the standard MapReduce CC algorithm —
-Rastogi et al., "Finding Connected Components in Map-Reduce in
-Logarithmic Rounds", ICDE 2013 — public): every node starts labeled
-with itself; each round, every node sends its current label to its
-neighbors and keeps the minimum it sees; labels only decrease and
-converge to the component's minimum node id. One round = two coarse
-hash shuffles (attach labels to edge endpoints, then per-node Min), and
-the per-round state is one (node, label) row per node — materialized
-between rounds so Ray doesn't re-execute the whole lineage per
-iteration (the honest cost of any iterative algorithm on an immutable
-Dataset). Rounds ≈ O(log diameter) in practice; near-dup graphs are
-unions of small cliques, which converge in 1-2 rounds.
+* Connected components: :func:`connected_components` (hash-to-min label
+  propagation — Rastogi et al., ICDE 2013 — one round per hop of
+  diameter) and :func:`connected_components_star` (alternating
+  Large-Star / Small-Star rounds, O(log n) rounds whatever the
+  diameter). They turn the dedup family's PAIR output into CLUSTERS;
+  :func:`cluster_canonicals` then picks each cluster's representative.
+  Per-round state is one (node, label) row per node, materialized
+  between rounds so Ray does not re-execute the lineage per iteration.
+* Iterative vertex programs: :func:`pagerank`, :func:`hits`,
+  :func:`bfs_hops`, :func:`label_propagation`, :func:`shortest_paths`
+  and :func:`kcore` all run on one driver — message from each edge's
+  source state, per-destination fold, apply — over driver-resident or
+  Dataset-resident state (see the driver note below).
+* :func:`triangle_count`: per-node triangle counts over the undirected
+  simple graph.
 """
 
 from __future__ import annotations
+
+import itertools
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -30,26 +33,12 @@ from .partitioning import auto_num_parts
 
 def _fold_arrays(ds: Dataset):
     """Stream a bounded (≤ num_nodes rows) fold result as column→numpy
-    dicts, one per Arrow batch — the driver-side state update is then a
+    dicts, one per output block — the driver-side state update is then a
     vectorized scatter (``vec[idx] = val``), never a per-row Python loop
     over ``take_all()`` dicts (VERDICT r4 "what's wrong" #1)."""
-    for batch in ds.iter_batches(batch_format="pyarrow"):
+    for batch in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
         yield {c: batch[c].to_numpy(zero_copy_only=False)
                for c in batch.column_names}
-
-
-# broadcast-iterate ops hold an O(num_nodes) driver/plasma vector per
-# round; past this node count `state_mode="auto"` switches to the
-# zip-join Dataset state (8 B/node ≈ 800 MB at the threshold — the
-# driver-memory bound, not a wall-time crossover)
-AUTO_DATASET_STATE_NODES = 100_000_000
-
-
-def _resolve_state_mode(state_mode: str, num_nodes: int) -> str:
-    if state_mode == "auto":
-        return ("dataset" if num_nodes > AUTO_DATASET_STATE_NODES
-                else "broadcast")
-    return state_mode
 
 
 def connected_components(nodes: Dataset, edges: Dataset,
@@ -268,14 +257,420 @@ def cluster_canonicals(clusters: Dataset, scores: Dataset,
             .sort("component"))
 
 
+# ---------------------------------------------------------------------------
+# Vertex-program driver for the iterative graph family
+# ---------------------------------------------------------------------------
+# pagerank, hits, bfs_hops, label_propagation, shortest_paths and kcore
+# are each a short loop of rounds, and every round has one shape — a
+# batch of per-destination group-by aggregates over one edge scan (the
+# LMFAO framing, VLDB 2020): each edge sends a message computed from its
+# SOURCE endpoint's state, the messages fold per destination node, and
+# `apply` turns (old state, folded) into the new state plus a
+# changed-node count for early exit. An algorithm supplies only that
+# `_Program`; the state lives in one of two backends with one interface
+# (init / edges / step / changed / max / emit):
+#
+#   * `_Broadcast`: one numpy vector per state column on the driver,
+#     shared with the edge scan by one `ray.put` per round. O(num_nodes)
+#     driver memory (8 B/node per column), so it holds to ~10^8 nodes.
+#     Commutative (ufunc) folds stream their per-batch partials straight
+#     into the driver vectors; ordered folds go through one node-hash
+#     groupby.
+#   * `_ZipState`: a hash-partitioned (node, *state) Dataset, segment-
+#     zipped onto the edges of the same partition by `_attach_state`; no
+#     driver-resident vector at all. A round is two groupbys (gather +
+#     message, then fold + apply) and returns a node-ascending Dataset.
+#
+# The backend is chosen by size, not by the caller: `_ZipState` when
+# num_nodes > AUTO_DATASET_STATE_NODES (the driver-memory bound, not a
+# wall-time crossover: below it the two shuffles per zip round make the
+# Dataset backend the slower one), so every algorithm returns a
+# `pa.Table` below the threshold and a node-ascending `Dataset` above
+# it. Both backends run the same message/fold/apply code, so their
+# outputs are bit-identical (pinned in tests/test_graph_zipjoin.py).
+
+AUTO_DATASET_STATE_NODES = 100_000_000
+
+_INF = np.iinfo(np.int64).max  # "unreached" in bfs/sssp distances
+
+
+class _Program(NamedTuple):
+    """One round of a vertex program.
+
+    * ``message(at_src, src, dst, w) -> (node, cols)``: messages for any
+      subset of the edges, keyed by any endpoint; ``at_src`` holds the
+      ``reads`` state columns gathered at ``src`` (only those are shipped
+      to the edge scan).
+    * ``fold``: ``np.add`` / ``np.minimum`` (commutative, so messages are
+      pre-reduced per batch and partials fold in any order), or a
+      function ``(node, cols) -> (node, cols)`` that sees all of a
+      node's messages in arrival order and returns one row per node,
+      node-ascending.
+    * ``fills``: the folded columns, each with the value a node that got
+      no message sees (a ufunc fold's identity).
+    * ``apply(state, folded) -> (state, changed)``, elementwise over
+      nodes."""
+    message: Callable
+    reads: tuple
+    fold: Callable
+    fills: dict
+    apply: Callable
+
+
+def _np(t: pa.Table) -> dict:
+    return {c: t[c].to_numpy(zero_copy_only=False) for c in t.column_names}
+
+
+def _reduce(ufunc, node, cols, fills, num_nodes=0):
+    """Per-node ``ufunc`` reduction (integer sums or mins: exact in any
+    order) → (node-ascending unique nodes, {col: reduced}). With
+    ``num_nodes`` and at least num_nodes/4 rows it scatters into dense
+    vectors instead of sorting (O(num_nodes) scratch, bounded by 4× the
+    input) and drops nodes whose every column stayed at its fill — the
+    fold's identity, so dropping them changes no fold."""
+    # re-declare builtin dtypes: an array derived from an unpickled one
+    # (the ray.get state) carries a non-canonical dtype instance, which
+    # sends ufunc.at down its slow generic loop (~30× slower)
+    node = np.asarray(node, dtype=np.int64)
+    cols = {c: np.asarray(cols[c], dtype=np.asarray(fill).dtype)
+            for c, fill in fills.items()}
+    if 0 < num_nodes <= 4 * len(node):
+        acc = {c: np.full(num_nodes, fill) for c, fill in fills.items()}
+        for c, v in acc.items():
+            ufunc.at(v, node, cols[c])
+        u = np.flatnonzero(np.logical_or.reduce(
+            [v != fills[c] for c, v in acc.items()]))
+        return u, {c: v[u] for c, v in acc.items()}
+    order = np.argsort(node)
+    first, starts = _zip_segments(node[order])
+    return node[order][first], {
+        c: ufunc.reduceat(v[order], starts) if starts.size else v[:0]
+        for c, v in cols.items()}
+
+
+def _send(prog: _Program, gather, dirs, num_nodes: int):
+    """One edge batch's messages: ``prog.message`` over each ``(src, dst,
+    w)`` direction of the batch, with ``gather(src)`` as its source
+    state, concatenated and pre-reduced per node for ufunc folds."""
+    out = [prog.message(gather(s), s, d, w) for s, d, w in dirs]
+    node, cols = out[0]
+    if len(out) > 1:
+        node = np.concatenate([o[0] for o in out])
+        cols = {c: np.concatenate([o[1][c] for o in out]) for c in cols}
+    if isinstance(prog.fold, np.ufunc):
+        return _reduce(prog.fold, node, cols, prog.fills, num_nodes)
+    return node, cols
+
+
+def _edge_prep(src_col, dst_col, weight_col, num_nodes, *,
+               undirected=False, reverse=False):
+    """The one edge preparation: a ``batch -> [(src, dst, w), ...]``
+    int64 function that checks every endpoint is in ``[0, num_nodes)``
+    and every weight is a non-negative integer (``w`` = 1 without
+    *weight_col*), then swaps the endpoints (``reverse``) or also lists
+    the reversed batch (``undirected`` — one instance per direction,
+    the multigraph convention; kept as two directions so a scan never
+    copies the doubled edge arrays)."""
+    def prep(batch: pa.Table):
+        s, d = (batch[c].to_numpy(zero_copy_only=False)
+                .astype(np.int64, copy=False) for c in (src_col, dst_col))
+        if len(s) and (min(s.min(), d.min()) < 0
+                       or max(s.max(), d.max()) >= num_nodes):
+            raise ValueError(
+                "edge endpoint outside [0, num_nodes) — the graph was "
+                "built from a different corpus than this id space")
+        w = np.broadcast_to(np.int64(1), s.shape)  # read-only, no copy
+        if weight_col is not None:
+            w = batch[weight_col].to_numpy(zero_copy_only=False)
+            if len(w) and not (np.issubdtype(w.dtype, np.integer)
+                               and w.min() >= 0):
+                raise ValueError(
+                    "edge weights must be non-negative integers (float "
+                    "weights would be silently truncated)")
+            w = w.astype(np.int64)
+        if reverse:
+            s, d = d, s
+        return [(s, d, w), (d, s, w)] if undirected else [(s, d, w)]
+    return prep
+
+
+class _Broadcast:
+    """Driver-resident state: a dict of numpy vectors indexed by node."""
+
+    def __init__(self, edges: Dataset, num_nodes: int, num_parts):
+        self.ds, self.n, self.parts = edges, num_nodes, num_parts
+
+    def init(self, fn):
+        state = fn(np.arange(self.n, dtype=np.int64))
+        self.cols = list(state)
+        return state
+
+    def edges(self, prep):
+        return prep  # each scan re-derives its validated edge arrays
+
+    def step(self, state: dict, prep, prog: _Program) -> dict:
+        import ray
+
+        reads, ordered = prog.reads, not isinstance(prog.fold, np.ufunc)
+        n = self.n
+        if ordered and self.parts is None:
+            self.parts = auto_num_parts(self.ds)
+        parts = self.parts
+
+        def messages(batch: pa.Table, *, ref) -> pa.Table:
+            st = ray.get(ref)
+            node, m = _send(prog, lambda s: {c: st[c][s] for c in reads},
+                            prep(batch), n)
+            if ordered:
+                m = {"part": (node % parts).astype(np.int32), **m}
+            return pa.table({"node": node, **m})
+
+        ref = ray.put({c: state[c] for c in reads})
+        msgs = self.ds.map_batches(messages, batch_format="pyarrow",
+                                   fn_kwargs={"ref": ref})
+        folded = {c: np.full(self.n, v) for c, v in prog.fills.items()}
+        if ordered:
+            def fold(group: pa.Table) -> pa.Table:
+                g = _np(group)
+                node, out = prog.fold(g.pop("node"), g)
+                return pa.table({"node": node, **out})
+
+            # ≤ num_nodes rows: one per node that got a message
+            for b in _fold_arrays(msgs.groupby("part").map_groups(
+                    fold, batch_format="pyarrow")):
+                for c, v in folded.items():
+                    v[b["node"]] = b[c]
+        else:
+            for b in _fold_arrays(msgs):  # per-batch partials, any order
+                for c, v in folded.items():
+                    prog.fold.at(v, b["node"], b[c])
+        new, changed = prog.apply({c: state[c] for c in self.cols},
+                                  folded)
+        return {**new, "nchg": changed}
+
+    def changed(self, state: dict) -> int:
+        return state["nchg"]
+
+    def max(self, state: dict, cols) -> list:
+        return [int(state[c].max()) for c in cols]
+
+    def emit(self, state: dict, out: dict, keep=None) -> pa.Table:
+        m = slice(None) if keep is None else keep(state)
+        node = np.arange(self.n, dtype=np.int64)[m]
+        return pa.table({"node": node,
+                         **{o: state[c][m] for o, c in out.items()}})
+
+
+def _rows(schema: pa.Schema, parts: int, node, side: int,
+          cols: dict) -> pa.Table:
+    """A (gpart, node, side, ...) block in *schema*'s column order;
+    columns missing from *cols* are zero-filled (union padding)."""
+    have = {"gpart": node % parts, "node": node,
+            "side": np.full(len(node), side), **cols}
+    return pa.table(
+        [pa.array(have[f.name] if f.name in have else
+                  np.zeros(len(node), f.type.to_pandas_dtype()),
+                  type=f.type) for f in schema], schema=schema)
+
+
+def _schema(cols: dict) -> pa.Schema:
+    return pa.schema([("gpart", pa.int32()), ("node", pa.int64()),
+                      ("side", pa.int8())]
+                     + [(c, pa.from_numpy_dtype(t)) for c, t in cols.items()])
+
+
+class _ZipState:
+    """Dataset state: one (gpart, node, side=0, *state) row per node,
+    hash-partitioned by ``node % num_parts``. Edge rows (side=1,
+    node=src) share the schema, so a union + groupby(gpart) puts each
+    node's state row next to its out-edges for :func:`_attach_state`."""
+
+    def __init__(self, edges: Dataset, num_nodes: int, num_parts):
+        self.ds, self.n = edges, num_nodes
+        self.parts = num_parts or auto_num_parts(edges)
+
+    def init(self, fn) -> Dataset:
+        import ray.data as rd
+
+        probe = fn(np.zeros(0, dtype=np.int64))
+        self.cols = list(probe)
+        self.dtypes = {c: v.dtype for c, v in probe.items()}
+        schema = self.schema = _schema(
+            {"dst": np.int64, "w": np.int64, **self.dtypes,
+             "nchg": np.int64})
+        parts = self.parts
+
+        def rows(batch: pa.Table) -> pa.Table:
+            ids = batch["id"].to_numpy(zero_copy_only=False).astype(np.int64)
+            return _rows(schema, parts, ids, 0, fn(ids))
+
+        return (rd.range(self.n).map_batches(rows, batch_format="pyarrow")
+                .repartition(parts).materialize())
+
+    def edges(self, prep) -> Dataset:
+        schema, parts = self.schema, self.parts
+
+        def tag(batch: pa.Table) -> pa.Table:
+            s, d, w = (np.concatenate(x) for x in zip(*prep(batch)))
+            return _rows(schema, parts, s, 1, {"dst": d, "w": w})
+
+        return (self.ds.map_batches(tag, batch_format="pyarrow")
+                .repartition(parts).materialize())
+
+    def step(self, state: Dataset, E: Dataset, prog: _Program) -> Dataset:
+        cols, schema, parts, n = self.cols, self.schema, self.parts, self.n
+        e = np.zeros(0, dtype=np.int64)
+        _, probe = _send(prog, lambda s: {c: np.zeros(0, self.dtypes[c])
+                                          for c in prog.reads},
+                         [(e, e, e)], 0)
+        mschema = _schema({**{f.name: f.type.to_pandas_dtype()
+                              for f in list(schema)[3:]},
+                           **{c: v.dtype for c, v in probe.items()}})
+
+        def gather(group: pa.Table) -> pa.Table:
+            sel, at = _attach_state(group, list(prog.reads))
+            node, m = _send(prog, lambda s: at,
+                            [(sel["node"], sel["dst"], sel["w"])], n)
+            return _rows(mschema, parts, node, 1, m)
+
+        def pad(batch: pa.Table) -> pa.Table:
+            g = _np(batch)
+            return _rows(mschema, parts, g["node"], 0, g)
+
+        def combine(group: pa.Table) -> pa.Table:
+            g = _np(group)
+            st = g["side"] == 0
+            order = np.argsort(g["node"][st], kind="stable")
+            node = g["node"][st][order]
+            msg = (g["node"][~st], {c: g[c][~st] for c in probe})
+            fnode, fcols = (_reduce(prog.fold, *msg, prog.fills)
+                            if isinstance(prog.fold, np.ufunc)
+                            else prog.fold(*msg))
+            pos = np.searchsorted(node, fnode)
+            if fnode.size and (pos[-1] >= node.size
+                               or (node[pos] != fnode).any()):
+                raise ValueError("message for a node with no state row")
+            folded = {c: np.full(node.size, v)
+                      for c, v in prog.fills.items()}
+            for c, v in folded.items():
+                v[pos] = fcols[c]
+            new, changed = prog.apply({c: g[c][st][order] for c in cols},
+                                      folded)
+            nchg = np.zeros(node.size, dtype=np.int64)
+            nchg[:1] = changed  # one count per group: sum() = total
+            return _rows(schema, parts, node, 0, {**new, "nchg": nchg})
+
+        msgs = (state.union(E).groupby("gpart")
+                .map_groups(gather, batch_format="pyarrow"))
+        # repartition before the materialize boundary: union adds blocks
+        # every round and groupbys preserve block count
+        return (state.map_batches(pad, batch_format="pyarrow").union(msgs)
+                .groupby("gpart").map_groups(combine, batch_format="pyarrow")
+                .repartition(parts).materialize())
+
+    def changed(self, state: Dataset) -> int:
+        return int(state.sum("nchg") or 0)
+
+    def max(self, state: Dataset, cols) -> list:
+        from ray.data.aggregate import Max
+
+        got = state.aggregate(*(Max(c) for c in cols))
+        return [int(got[f"max({c})"] or 0) for c in cols]
+
+    def emit(self, state: Dataset, out: dict, keep=None) -> Dataset:
+        def rows(batch: pa.Table) -> pa.Table:
+            g = _np(batch)
+            m = slice(None) if keep is None else keep(g)
+            return pa.table({"node": g["node"][m],
+                             **{o: g[c][m] for o, c in out.items()}})
+
+        return state.map_batches(rows, batch_format="pyarrow").sort("node")
+
+
+def _backend(edges: Dataset, num_nodes: int, num_parts):
+    if num_nodes <= 0:
+        raise ValueError("num_nodes must be positive")
+    big = num_nodes > AUTO_DATASET_STATE_NODES
+    return (_ZipState if big else _Broadcast)(edges, num_nodes, num_parts)
+
+
+def _until_stable(bk, state, E, prog: _Program, rounds):
+    """Run up to *rounds* rounds (None: no bound), stopping after the
+    first that changes no node → (state, stopped_stable)."""
+    for _ in itertools.count() if rounds is None else range(rounds):
+        state = bk.step(state, E, prog)
+        if bk.changed(state) == 0:
+            return state, True
+    return state, False
+
+
+def _attach_state(group: pa.Table, val_cols: list[str]):
+    """Segment-zip a partition's state rows (side=0, one per node) onto
+    its edge rows (side=1, node=src): sort by (node, side), forward-fill
+    each node's state row index onto its edge rows, and return
+    ``(edge_sel, attached)`` — the sorted-order edge selection arrays
+    (node, dst, w) plus a dict of each *val_col* gathered at the edge's
+    src. Raises if an edge's src has no state row (the two inputs were
+    built over different id spaces)."""
+    node = group["node"].to_numpy(zero_copy_only=False)
+    side = group["side"].to_numpy(zero_copy_only=False)
+    order = np.lexsort((side, node))
+    node_s = node[order]
+    is_state = side[order] == 0
+    n = len(node_s)
+    seg_first = np.ones(n, dtype=bool)
+    seg_first[1:] = node_s[1:] != node_s[:-1]
+    src_idx = np.where(seg_first & is_state, np.arange(n), 0)
+    src_idx = np.maximum.accumulate(src_idx)
+    if n and not (is_state[src_idx].all()
+                  and (node_s[src_idx] == node_s).all()):
+        raise ValueError(
+            "edge src without a state row — state and edge Datasets "
+            "cover different node-id spaces")
+    em = ~is_state
+    sel = {
+        "node": node_s[em],
+        "dst": group["dst"].to_numpy(zero_copy_only=False)[order][em],
+        "w": group["w"].to_numpy(zero_copy_only=False)[order][em],
+    }
+    attached = {
+        c: group[c].to_numpy(zero_copy_only=False)[order][src_idx][em]
+        for c in val_cols
+    }
+    return sel, attached
+
+
+def _zip_segments(node_sorted: np.ndarray):
+    """(seg_first mask, segment start indices) of a node-sorted array."""
+    n = len(node_sorted)
+    first = np.ones(n, dtype=bool)
+    first[1:] = node_sorted[1:] != node_sorted[:-1]
+    return first, np.flatnonzero(first)
+
+
+# ---------------------------------------------------------------------------
+# The six vertex programs
+# ---------------------------------------------------------------------------
+
+
+def _ordered_sum(node, cols):
+    """Per-node float sum of ``c`` in ascending-``src`` order: np.add.at
+    is unbuffered and element-sequential, so each node's fold is the
+    exact left fold the SQL oracle's ordered list sum performs."""
+    order = np.lexsort((cols["src"], node))
+    u, inv = np.unique(node[order], return_inverse=True)
+    sums = np.zeros(u.size, dtype=np.float64)
+    np.add.at(sums, inv, cols["c"][order])
+    return u, {"c": sums}
+
+
 def pagerank(edges: Dataset, num_nodes: int, *, iters: int = 3,
              damping: float = 0.85, src_col: str = "src",
              dst_col: str = "dst", flat_teleport: bool = False,
              weight_col: str | None = None,
-             num_parts: int | None = None,
-             state_mode: str = "broadcast") -> pa.Table | Dataset:
+             num_parts: int | None = None) -> pa.Table | Dataset:
     """PageRank over a directed edge Dataset with DENSE node ids
-    ``0..num_nodes-1`` → (node, pagerank) Arrow table, node-ascending.
+    ``0..num_nodes-1`` → (node, pagerank), node-ascending.
 
     The curation use: rank docs by authority in the kNN similarity
     graph (representative-document selection — pick cluster exemplars
@@ -285,125 +680,270 @@ def pagerank(edges: Dataset, num_nodes: int, *, iters: int = 3,
     in-edges sit at ``(1-d)/N``. With ``flat_teleport=True`` the
     TextRank convention (Mihalcea & Tarau 2004) applies instead:
     initial rank 1 and teleport ``(1-d)`` — scores sit near 1 rather
-    than summing to 1. With ``weight_col`` the edges carry integer
-    multiplicities: out-degree becomes the weight sum and each edge
-    contributes ``(r/deg)·w`` — value-identical to repeating the edge
-    ``w`` times but scanned once (the weighted-multigraph collapse).
+    than summing to 1. With ``weight_col`` the edges carry
+    non-negative integer multiplicities: out-degree becomes the weight
+    sum and each edge contributes ``(r/deg)·w`` — value-identical to
+    repeating the edge ``w`` times but scanned once (the
+    weighted-multigraph collapse).
 
-    Distributed shape per iteration: the rank VECTOR (8 bytes/node) is
-    broadcast via ``ray.put``; one ``map_batches`` pass over the edges
-    emits (part, dst, src, contrib) rows; a coarse ``groupby(part)``
-    (part = dst hash, every in-edge of a dst in one partition) folds
-    per-dst sums VALUE-EXACTLY in ascending-src order (``np.add.at``
-    applies element-sequentially, matching a SQL
-    ``list_aggregate(list(c order by src), 'sum')`` left fold). The
-    O(N) driver-resident rank/out-degree vectors are the same per-round
-    bounded state as connected components' (node, label) rows — fine to
-    ~10^8 nodes.
-
-    ``state_mode="dataset"`` removes that bound: the rank/out-degree
-    state lives as a hash-partitioned (node, rank, outdeg) Dataset,
-    zip-joined to the edges per round (the ``cluster_canonicals``
-    union-shuffle segment-zip — no driver-resident vector at all), with
-    the identical per-dst ordered fold, so the two modes are
-    BIT-IDENTICAL (pytest-pinned). It returns a node-ascending
-    Dataset rather than a driver-resident Arrow table. Cost: two
-    sort-shuffle exchanges per round instead of one broadcast + one
-    exchange — measured ~1.2 s/round of fixed shuffle latency on a
-    2k-node/40k-edge toy fixture (vs ~0.1 s/round broadcast), a gap
-    that amortizes away as rounds grow data-bound. The crossover is
-    the DRIVER-MEMORY bound, not wall-time: broadcast below ~10^8
-    nodes (8 B/node rank vector), dataset beyond.
-    """
-    import ray
-
-    if num_parts is None:
-        num_parts = auto_num_parts(edges)
-    state_mode = _resolve_state_mode(state_mode, num_nodes)
-    if state_mode == "dataset":
-        return _pagerank_dataset(
-            edges, num_nodes, iters=iters, damping=damping,
-            flat_teleport=flat_teleport, weight_col=weight_col,
-            src_col=src_col, dst_col=dst_col, num_parts=num_parts)
-    if state_mode != "broadcast":
-        raise ValueError(
-            "state_mode must be 'broadcast', 'dataset', or 'auto'")
-
-    # out-degree vector: one distributed partial-count pass
-    def deg_partial(batch: pa.Table) -> pa.Table:
-        s = batch[src_col].to_numpy(zero_copy_only=False)
-        if weight_col is None:
-            u, c = np.unique(s, return_counts=True)
-        else:
-            w = batch[weight_col].to_numpy(zero_copy_only=False)
-            u, inv = np.unique(s, return_inverse=True)
-            c = np.bincount(inv, weights=w,
-                            minlength=len(u)).astype(np.int64)
-        return pa.table({"node": pa.array(u, type=pa.int64()),
-                         "n": pa.array(c.astype(np.int64))})
-
-    outdeg = np.zeros(num_nodes, dtype=np.float64)
-    deg = (edges.map_batches(deg_partial, batch_format="pyarrow")
-           .groupby("node").sum("n"))
-    for b in _fold_arrays(deg):  # ≤ num_nodes rows (the O(N) contract)
-        outdeg[b["node"]] = b["sum(n)"]
-
+    One integer-sum round computes the out-degrees; each iteration then
+    sends ``r(u)/outdeg(u)·w`` along every edge and folds per dst
+    VALUE-EXACTLY in ascending-src order (:func:`_ordered_sum`,
+    matching a SQL ``list_aggregate(list(c order by src), 'sum')`` left
+    fold). State backend: see the vertex-program driver note."""
+    bk = _backend(edges, num_nodes, num_parts)
     init = 1.0 if flat_teleport else 1.0 / num_nodes
-    ranks = np.full(num_nodes, init, dtype=np.float64)
     teleport = (1.0 - damping) if flat_teleport else \
         (1.0 - damping) / num_nodes
-
-    # broadcast the O(N) out-degree vector ONCE like the rank vector —
-    # captured in the closure it would re-pickle with the UDF on every
-    # iteration's task submissions
-    outdeg_ref = ray.put(outdeg)
-
-    def contribs(batch: pa.Table, *, ranks_ref) -> pa.Table:
-        r = ray.get(ranks_ref)
-        od = ray.get(outdeg_ref)
-        s = batch[src_col].to_numpy(zero_copy_only=False)
-        d = batch[dst_col].to_numpy(zero_copy_only=False)
-        if weight_col is None:
-            c = r[s] / od[s]
-        else:
-            w = batch[weight_col].to_numpy(zero_copy_only=False)
-            c = (r[s] / od[s]) * w
-        return pa.table({
-            "part": pa.array((d % num_parts).astype(np.int32)),
-            "dst": pa.array(d.astype(np.int64)),
-            "src": pa.array(s.astype(np.int64)),
-            "contrib": pa.array(c),
-        })
-
-    def fold(group: pa.Table) -> pa.Table:
-        dst = group["dst"].to_numpy(zero_copy_only=False)
-        src = group["src"].to_numpy(zero_copy_only=False)
-        c = group["contrib"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((src, dst))
-        dst, c = dst[order], c[order]
-        uniq, inv = np.unique(dst, return_inverse=True)
-        sums = np.zeros(uniq.size, dtype=np.float64)
-        # np.add.at is unbuffered and element-sequential: within each
-        # dst the fold runs in ascending-src order — the exact left
-        # fold the SQL oracle's ordered list sum performs
-        np.add.at(sums, inv, c)
-        return pa.table({"dst": pa.array(uniq, type=pa.int64()),
-                         "s": pa.array(sums)})
-
+    st = bk.init(lambda ids: {"rank": np.full(ids.size, init),
+                              "outdeg": np.zeros(ids.size)})
+    E = bk.edges(_edge_prep(src_col, dst_col, weight_col, num_nodes))
+    st = bk.step(st, E, _Program(
+        lambda at, s, d, w: (s, {"n": w}), (), np.add, {"n": 0},
+        lambda old, f: ({**old, "outdeg": f["n"].astype(np.float64)}, 0)))
+    rank = _Program(
+        lambda at, s, d, w: (d, {"src": s,
+                                 "c": at["rank"] / at["outdeg"] * w}),
+        ("rank", "outdeg"), _ordered_sum, {"c": 0.0},
+        lambda old, f: ({**old, "rank": teleport + damping * f["c"]}, 0))
     for _ in range(iters):
-        ref = ray.put(ranks)
-        parts = (edges.map_batches(contribs, batch_format="pyarrow",
-                                   fn_kwargs={"ranks_ref": ref})
-                 .groupby("part").map_groups(fold, batch_format="pyarrow"))
-        nxt = np.zeros(num_nodes, dtype=np.float64)
-        for b in _fold_arrays(parts):  # ≤ num_nodes rows
-            nxt[b["dst"]] = b["s"]
-        ranks = teleport + damping * nxt
+        st = bk.step(st, E, rank)
+    return bk.emit(st, {"pagerank": "rank"})
 
-    return pa.table({
-        "node": pa.array(np.arange(num_nodes, dtype=np.int64)),
-        "pagerank": pa.array(ranks),
-    })
+
+def hits(edges: Dataset, num_nodes: int, *, iters: int = 2,
+         src_col: str = "src", dst_col: str = "dst",
+         num_parts: int | None = None) -> pa.Table | Dataset:
+    """HITS hubs & authorities (Kleinberg 1999) over a directed edge
+    Dataset with DENSE node ids ``0..num_nodes-1`` → (node, hub,
+    authority), node-ascending. The directional complement of
+    :func:`pagerank` in the similarity/citation-graph family: in a
+    kNN graph, high authority = many docs point AT it (a cluster
+    center), high hub = points at many authorities (a bridging doc).
+
+    The all-integer trick (the spectral/power-iteration convention):
+    h₀ = 1 and the classic UNNORMALIZED mutual recursion
+    ``a_t(v) = Σ_{u→v} h_{t-1}(u)``, ``h_t(v) = Σ_{v→u} a_t(u)`` keep
+    every score an exact int64, so both columns cross the value-exact
+    SQL gate as plain join+sum CTE iterations — no float normalization
+    convention to mirror. Magnitudes grow by ≤ in_max·out_max per
+    iteration; the exact degree maxima are counted by the same
+    integer-sum rounds, and the engine raises before any iteration
+    could overflow (rescale externally or lower ``iters`` — at the
+    conventional 2-3 iterations even a 10^8-node k-regular graph stays
+    far below 2^62).
+
+    Each iteration is two integer-sum rounds: authorities over the
+    forward edges, then hubs over the reversed edges (each gathers the
+    opposite score at its source endpoint). Integer sums commute, so no
+    ordered-fold discipline is needed. State backend: see the
+    vertex-program driver note."""
+    bk = _backend(edges, num_nodes, num_parts)
+    if num_nodes >= 1 << 31:
+        raise ValueError("dense node-id HITS caps at 2^31 nodes")
+
+    def init(ids):
+        z = np.zeros(ids.size, dtype=np.int64)
+        return {"h": z + 1, "a": z, "din": z, "dout": z}
+
+    st = bk.init(init)
+    fwd, rev = (bk.edges(_edge_prep(src_col, dst_col, None, num_nodes,
+                                    reverse=r)) for r in (False, True))
+
+    def half(score: str, deg: str, gather: str) -> _Program:
+        return _Program(
+            lambda at, s, d, w: (d, {"s": at[gather], "n": w}), (gather,),
+            np.add, {"s": 0, "n": 0},
+            lambda old, f: ({**old, score: f["s"], deg: f["n"]}, 0))
+
+    authority, hub = half("a", "din", "h"), half("h", "dout", "a")
+    for it in range(int(iters)):
+        if it > 0:
+            # degree maxima are exact after the first iteration; the
+            # iterate values themselves are exact — a tight guard
+            hmax, in_max, out_max = bk.max(st, ["h", "din", "dout"])
+            if hmax * in_max * out_max >= (1 << 62):
+                raise ValueError("HITS iterate bound ≥ 2^62 — lower iters")
+        st = bk.step(st, fwd, authority)
+        st = bk.step(st, rev, hub)
+    return bk.emit(st, {"hub": "h", "authority": "a"})
+
+
+def _min_distances(edges, num_nodes, sources, rounds, weight_col, directed,
+                   src_col, dst_col, num_parts, out: str, what: str):
+    """Bounded-round Bellman-Ford with a frontier: only nodes whose
+    distance dropped last round send (``send`` holds that distance,
+    INT64_MAX elsewhere) ``dist + w``; a min fold and ``min(old,
+    folded)`` give, after r rounds, the exact shortest distance over
+    ≤ r-edge paths. Stops early once no distance drops. Emits reached
+    nodes only, as (node, *out*)."""
+    bk = _backend(edges, num_nodes, num_parts)
+    seeds = np.unique(np.asarray(list(sources), dtype=np.int64))
+    if seeds.size == 0:
+        raise ValueError(f"{what} needs at least one source")
+    if int(seeds.min()) < 0 or int(seeds.max()) >= num_nodes:
+        raise ValueError(
+            f"source ids must be dense node ids in [0, {num_nodes})")
+
+    def init(ids):
+        dist = np.where(np.isin(ids, seeds), 0, _INF).astype(np.int64)
+        return {"dist": dist, "send": dist}
+
+    def message(at, s, d, w):
+        m = at["send"] != _INF  # unmasked sums may wrap; they are dropped
+        return d[m], {"d": (at["send"] + w)[m]}
+
+    def apply(old, f):
+        best = np.minimum(old["dist"], f["d"])
+        send = np.where(best < old["dist"], best, _INF)
+        return {"dist": best, "send": send}, int((send != _INF).sum())
+
+    st = bk.init(init)
+    E = bk.edges(_edge_prep(src_col, dst_col, weight_col, num_nodes,
+                            undirected=not directed))
+    st, _ = _until_stable(bk, st, E, _Program(
+        message, ("send",), np.minimum, {"d": _INF}, apply), rounds)
+    return bk.emit(st, {out: "dist"}, keep=lambda s: s["dist"] != _INF)
+
+
+def bfs_hops(edges: Dataset, num_nodes: int, *, sources,
+             max_hops: int | None = None, directed: bool = False,
+             src_col: str = "src", dst_col: str = "dst",
+             num_parts: int | None = None) -> pa.Table | Dataset:
+    """Multi-source BFS over a directed edge Dataset with dense node ids
+    ``0..num_nodes-1`` → (node, hops) for every node reachable within
+    ``max_hops``, node-ascending. ``hops`` is the minimum hop count
+    from ANY source (0 at the sources themselves); ``directed=False``
+    treats each edge as bidirectional.
+
+    The missing graph primitive next to connected components (labels,
+    no distances) and pagerank (mass, no reachability): frontier
+    expansion one level at a time — :func:`shortest_paths` with unit
+    weights, where only the last round's newly reached nodes send.
+    Rounds stop at frontier exhaustion or ``max_hops``. State backend:
+    see the vertex-program driver note."""
+    return _min_distances(edges, num_nodes, sources, max_hops, None,
+                          directed, src_col, dst_col, num_parts, "hops",
+                          "bfs_hops")
+
+
+def _vote_counts(at, s, d, w):
+    """Each edge instance votes its source's label at its destination:
+    per batch, counts of the packed ``dst << 31 | label`` keys (62 bits,
+    int64 — the edge columns were cast by :func:`_edge_prep`)."""
+    key, n = np.unique((d << 31) | at["label"], return_counts=True)
+    return key >> 31, {"lab": key & ((1 << 31) - 1), "n": n}
+
+
+def _top_vote(node, cols):
+    """Merge the batches' vote counts, then per node the most-voted
+    label, ties to the smallest label."""
+    key, v = _reduce(np.add, (node << 31) | cols["lab"], cols, {"n": 0})
+    node, lab = key >> 31, key & ((1 << 31) - 1)
+    order = np.lexsort((lab, -v["n"], node))
+    first, _ = _zip_segments(node[order])
+    return node[order][first], {"label": lab[order][first]}
+
+
+def label_propagation(edges: Dataset, num_nodes: int, *, iters: int = 2,
+                      directed: bool = False, src_col: str = "src",
+                      dst_col: str = "dst",
+                      num_parts: int | None = None) -> pa.Table | Dataset:
+    """Synchronous label-propagation community detection over dense node
+    ids ``0..num_nodes-1`` → (node, label), node-ascending.
+    Labels start as node ids; each round every node adopts its
+    neighbors' most frequent label with the deterministic tie-break
+    (count desc, label asc); isolated nodes keep their own label.
+    MULTIGRAPH semantics: every edge instance votes (an oracle mirrors
+    this with ``union all``, never ``union``) — dedupe the edge Dataset
+    first for simple-graph LPA.
+    Fixed ``iters`` keeps the synchronous schedule deterministic (and
+    SQL-unrollable) — convergence-looped LPA oscillates on bipartite
+    structures.
+
+    The community primitive between connected components (structure
+    only) and pagerank (mass): each edge batch sends packed-key
+    (dst, neighbor-label) vote COUNTS (never raw edge rows) and one
+    dst-hash fold merges the counts and argmaxes per node. State
+    backend: see the vertex-program driver note."""
+    bk = _backend(edges, num_nodes, num_parts)
+    if num_nodes > (1 << 31):
+        raise ValueError("label packing uses 31 bits per field — "
+                         "re-pack keys for > 2^31 nodes")
+    st = bk.init(lambda ids: {"label": ids})
+    E = bk.edges(_edge_prep(src_col, dst_col, None, num_nodes,
+                            undirected=not directed))
+    prog = _Program(
+        _vote_counts, ("label",), _top_vote, {"label": -1},
+        lambda old, f: ({"label": np.where(f["label"] >= 0, f["label"],
+                                           old["label"])}, 0))
+    for _ in range(iters):
+        st = bk.step(st, E, prog)
+    return bk.emit(st, {"label": "label"})
+
+
+def shortest_paths(edges: Dataset, num_nodes: int, *, sources,
+                   rounds: int, weight_col: str,
+                   directed: bool = False, src_col: str = "src",
+                   dst_col: str = "dst",
+                   num_parts: int | None = None) -> pa.Table | Dataset:
+    """Bounded-round Bellman-Ford single/multi-source shortest paths
+    with non-negative INTEGER edge weights → (node, dist) for every
+    node whose ≤ ``rounds``-edge shortest path is final, node-ascending.
+    After k rounds the tentative distance equals the true shortest
+    distance over paths of ≤ k edges — exact (and oracle-unrollable)
+    for any k ≥ the graph's hop diameter.
+
+    The weighted complement of :func:`bfs_hops` (hop counts) built on a
+    MIN fold where pagerank folds sums (:func:`_min_distances`).
+    Integer weights make every comparison exact — no float
+    accumulation order to match. State backend: see the vertex-program
+    driver note."""
+    return _min_distances(edges, num_nodes, sources, rounds, weight_col,
+                          directed, src_col, dst_col, num_parts, "dist",
+                          "shortest_paths")
+
+
+def kcore(edges: Dataset, num_nodes: int, *, k: int,
+          src_col: str = "src", dst_col: str = "dst",
+          max_rounds: int = 100,
+          num_parts: int | None = None) -> pa.Table | Dataset:
+    """k-core decomposition membership — iteratively peel nodes of
+    degree < k (degree counted over edges whose BOTH endpoints are
+    still alive) until stable → (node,) table of the k-core's members,
+    node-ascending. UNDIRECTED MULTIGRAPH semantics like
+    :func:`label_propagation`: every edge instance counts toward the
+    degree of BOTH its endpoints (a directed edge list is fine — each
+    row is treated as one incident edge at each end).
+
+    Per round every alive node sends 1 along each incident edge
+    instance, an integer-sum fold counts each node's alive neighbors,
+    and alive nodes under *k* die. A dead node's count is never read,
+    so the alive-source count is the both-endpoints-alive degree.
+    Rounds are O(peel depth); ``max_rounds`` bounds the KILL rounds —
+    the stability-confirming round after the last kill is free, so an
+    exactly-max_rounds-deep cascade matches a max_rounds-unrolled
+    oracle — and exhaustion RAISES rather than returning a superset of
+    the core. State backend: see the vertex-program driver note."""
+    bk = _backend(edges, num_nodes, num_parts)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    st = bk.init(lambda ids: {"alive": np.ones(ids.size, dtype=bool)})
+    E = bk.edges(_edge_prep(src_col, dst_col, None, num_nodes,
+                            undirected=True))
+
+    def apply(old, f):
+        kill = old["alive"] & (f["n"] < k)
+        return {"alive": old["alive"] & ~kill}, int(kill.sum())
+
+    st, stable = _until_stable(bk, st, E, _Program(
+        lambda at, s, d, w: (d[at["alive"]], {"n": w[at["alive"]]}),
+        ("alive",), np.add, {"n": 0}, apply), max_rounds + 1)
+    if not stable:
+        raise RuntimeError(
+            f"kcore did not stabilize in {max_rounds} rounds — "
+            "raise max_rounds (each round peels at least one node)")
+    return bk.emit(st, {}, keep=lambda s: s["alive"])
 
 
 def triangle_count(edges: Dataset, *, src_col: str = "src",
@@ -525,1464 +1065,6 @@ def triangle_count(edges: Dataset, *, src_col: str = "src",
                                 type=pa.int64()),
     }))
 
-
-def hits(edges: Dataset, num_nodes: int, *, iters: int = 2,
-         src_col: str = "src", dst_col: str = "dst",
-         num_parts: int | None = None,
-         state_mode: str = "broadcast") -> pa.Table | Dataset:
-    """HITS hubs & authorities (Kleinberg 1999) over a directed edge
-    Dataset with DENSE node ids ``0..num_nodes-1`` → (node, hub,
-    authority) Arrow table, node-ascending. The directional complement
-    of :func:`pagerank` in the similarity/citation-graph family: in a
-    kNN graph, high authority = many docs point AT it (a cluster
-    center), high hub = points at many authorities (a bridging doc).
-
-    The all-integer trick (the spectral/power-iteration convention):
-    h₀ = 1 and the classic UNNORMALIZED mutual recursion
-    ``a_t(v) = Σ_{u→v} h_{t-1}(u)``, ``h_t(v) = Σ_{v→u} a_t(u)`` keep
-    every score an exact int64, so both columns cross the value-exact
-    SQL gate as plain join+sum CTE iterations — no float normalization
-    convention to mirror. Magnitudes grow by ≤ in_max·out_max per
-    iteration; the exact degree maxima come from the same partial
-    pass that every per-iteration fold uses, and the engine raises
-    before any iteration could overflow (rescale externally or lower
-    ``iters`` — at the conventional 2-3 iterations even a 10^8-node
-    k-regular graph stays far below 2^62).
-
-    Distributed shape per half-step: the opposite O(N) score vector
-    broadcasts once via ``ray.put``; one ``map_batches`` pass over the
-    edges emits per-batch PARTIAL per-node integer sums (np.add.at on a
-    dense int64 vector, nonzero rows only — integer addition commutes,
-    so no ordered-fold discipline is needed); a ≤ num_nodes-row Sum
-    groupby reduces partials and the driver folds the next vector. Same
-    O(N) driver-state contract as :func:`pagerank`, and the same
-    ``state_mode="dataset"`` escape hatch: scores live as a
-    hash-partitioned (node, h, a) Dataset zip-joined per half-step
-    (bit-identical — integer sums commute), returned as a
-    node-ascending Dataset.
-    """
-    import ray
-    from ray.data.aggregate import Sum
-
-    state_mode = _resolve_state_mode(state_mode, num_nodes)
-    if state_mode == "dataset":
-        return _hits_dataset(
-            edges, num_nodes, iters=iters, src_col=src_col,
-            dst_col=dst_col,
-            num_parts=num_parts or auto_num_parts(edges))
-    if state_mode != "broadcast":
-        raise ValueError(
-            "state_mode must be 'broadcast', 'dataset', or 'auto'")
-
-    in_max = [0]
-    out_max = [0]
-
-    def half_step(vec: np.ndarray, key_col: str, gather_col: str,
-                  deg_sink: list) -> np.ndarray:
-        """next[key] = Σ_edges vec[gather] — one pass + one Sum."""
-        ref = ray.put(vec)
-
-        def partial(batch: pa.Table) -> pa.Table:
-            v = ray.get(ref)
-            k = batch[key_col].to_numpy(zero_copy_only=False)
-            g = batch[gather_col].to_numpy(zero_copy_only=False)
-            acc = np.zeros(num_nodes, dtype=np.int64)
-            np.add.at(acc, k, v[g])
-            deg = np.zeros(num_nodes, dtype=np.int64)
-            np.add.at(deg, k, 1)
-            nz = np.flatnonzero(acc)
-            return pa.table({
-                "node": pa.array(nz, type=pa.int64()),
-                "s": pa.array(acc[nz]),
-                "d": pa.array(deg[nz]),
-            })
-
-        summed = (edges.map_batches(partial, batch_format="pyarrow")
-                  .groupby("node").aggregate(Sum("s"), Sum("d")))
-        nxt = np.zeros(num_nodes, dtype=np.int64)
-        for b in _fold_arrays(summed):  # ≤ num_nodes rows (O(N) contract)
-            nxt[b["node"]] = b["sum(s)"]
-            if b["sum(d)"].size:
-                deg_sink[0] = max(deg_sink[0], int(b["sum(d)"].max()))
-        return nxt
-
-    if num_nodes >= 1 << 31:
-        raise ValueError("dense node-id HITS caps at 2^31 nodes — "
-                         "zip-join the score vectors beyond that")
-    h = np.ones(num_nodes, dtype=np.int64)
-    a = np.zeros(num_nodes, dtype=np.int64)
-    for it in range(int(iters)):
-        if it > 0:
-            # degree maxima are exact after the first iteration; the
-            # iterate values themselves are exact — a tight guard
-            if int(h.max()) * in_max[0] * out_max[0] >= (1 << 62):
-                raise ValueError(
-                    "HITS iterate bound ≥ 2^62 — lower iters")
-        a = half_step(h, dst_col, src_col, in_max)
-        h = half_step(a, src_col, dst_col, out_max)
-
-    return pa.table({
-        "node": pa.array(np.arange(num_nodes, dtype=np.int64)),
-        "hub": pa.array(h),
-        "authority": pa.array(a),
-    })
-
-
-def bfs_hops(edges: Dataset, num_nodes: int, *, sources,
-             max_hops: int | None = None, directed: bool = False,
-             src_col: str = "src", dst_col: str = "dst",
-             num_parts: int | None = None,
-             state_mode: str = "broadcast") -> pa.Table | Dataset:
-    """Multi-source BFS over a directed edge Dataset with dense node ids
-    ``0..num_nodes-1`` → (node, hops) Arrow table for every node
-    reachable within ``max_hops``, node-ascending. ``hops`` is the
-    minimum hop count from ANY source (0 at the sources themselves);
-    ``directed=False`` treats each edge as bidirectional in the same
-    scan, no materialized reverse edges.
-
-    The missing graph primitive next to connected components (labels,
-    no distances) and pagerank (mass, no reachability): frontier
-    expansion one level at a time — the O(N) distance vector broadcast
-    via ``ray.put`` per round (same bounded-state contract as
-    pagerank's rank vector), one ``map_batches`` edges pass emitting
-    each batch's UNIQUE still-unvisited neighbors of frontier nodes,
-    driver-side union assigning ``h+1``. Rounds stop at frontier
-    exhaustion or ``max_hops``, so total driver traffic is O(reached
-    nodes + per-batch duplicate candidates); ``state_mode="dataset"``
-    moves the distance vector to a hash-partitioned Dataset zip-joined
-    per round (the connected-components shape) — identical hop
-    assignments, returned as a node-ascending Dataset — for beyond the
-    ~10^8-node broadcast bound.
-    """
-    import ray
-
-    if num_nodes <= 0:
-        raise ValueError("num_nodes must be positive")
-    state_mode = _resolve_state_mode(state_mode, num_nodes)
-    if state_mode == "dataset":
-        return _bfs_dataset(
-            edges, num_nodes, sources=sources, max_hops=max_hops,
-            directed=directed, src_col=src_col, dst_col=dst_col,
-            num_parts=num_parts or auto_num_parts(edges))
-    if state_mode != "broadcast":
-        raise ValueError(
-            "state_mode must be 'broadcast', 'dataset', or 'auto'")
-    dist = np.full(num_nodes, -1, dtype=np.int64)
-    seeds = np.unique(np.asarray(list(sources), dtype=np.int64))
-    if seeds.size == 0:
-        raise ValueError("bfs_hops needs at least one source")
-    if int(seeds.min()) < 0 or int(seeds.max()) >= num_nodes:
-        raise ValueError(
-            f"source ids must be dense node ids in [0, {num_nodes})")
-    dist[seeds] = 0
-
-    def reach(batch: pa.Table, *, dist_ref, hop: int) -> pa.Table:
-        dv = ray.get(dist_ref)
-        s = batch[src_col].to_numpy(zero_copy_only=False)
-        d = batch[dst_col].to_numpy(zero_copy_only=False)
-        if len(s) and (int(s.max()) >= len(dv) or int(d.max()) >= len(dv)
-                       or int(s.min()) < 0 or int(d.min()) < 0):
-            raise ValueError(
-                "edge endpoint outside [0, num_nodes) — the graph was "
-                "built from a different corpus than this BFS's id space")
-        cand = [d[dv[s] == hop]]
-        if not directed:
-            cand.append(s[dv[d] == hop])
-        c = np.concatenate(cand)
-        c = np.unique(c[dv[c] < 0])
-        return pa.table({"node": pa.array(c.astype(np.int64))})
-
-    h = 0
-    while max_hops is None or h < max_hops:
-        ref = ray.put(dist)
-        cand = edges.map_batches(
-            reach, batch_format="pyarrow",
-            fn_kwargs={"dist_ref": ref, "hop": h})
-        chunks = [b["node"] for b in _fold_arrays(cand)]
-        if not chunks:
-            break
-        new = np.unique(np.concatenate(chunks))
-        new = new[dist[new] < 0]  # batches race only against old state
-        if new.size == 0:
-            break
-        dist[new] = h + 1
-        h += 1
-
-    reached = np.flatnonzero(dist >= 0)
-    return pa.table({
-        "node": pa.array(reached.astype(np.int64)),
-        "hops": pa.array(dist[reached]),
-    })
-
-
-def label_propagation(edges: Dataset, num_nodes: int, *, iters: int = 2,
-                      directed: bool = False, src_col: str = "src",
-                      dst_col: str = "dst",
-                      num_parts: int | None = None,
-                      state_mode: str = "broadcast") -> pa.Table | Dataset:
-    """Synchronous label-propagation community detection over dense node
-    ids ``0..num_nodes-1`` → (node, label) Arrow table, node-ascending.
-    Labels start as node ids; each round every node adopts its
-    neighbors' most frequent label with the deterministic tie-break
-    (count desc, label asc); isolated nodes keep their own label.
-    MULTIGRAPH semantics: every edge instance votes (an oracle mirrors
-    this with ``union all``, never ``union``) — dedupe the edge Dataset
-    first for simple-graph LPA.
-    Fixed ``iters`` keeps the synchronous schedule deterministic (and
-    SQL-unrollable) — convergence-looped LPA oscillates on bipartite
-    structures.
-
-    The community primitive between connected components (structure
-    only) and pagerank (mass): per round the O(N) label vector rides one
-    ``ray.put`` broadcast (pagerank's bounded-state contract) and one
-    edges pass emits per-batch (dst, neighbor-label) PAIR COUNTS (a
-    packed-key unique per batch — never raw edge rows) into a coarse
-    dst-hash groupby whose fold merges counts and argmaxes per node
-    vectorized. Driver applies ≤ N (node, label) updates per round.
-    ``state_mode="dataset"`` lifts the ~10^8-node driver-state bound:
-    labels live as a hash-partitioned (node, label) Dataset zip-joined
-    per round — identical vote counts and argmax tie-break, returned as
-    a node-ascending Dataset.
-    """
-    import ray
-
-    if num_nodes <= 0:
-        raise ValueError("num_nodes must be positive")
-    if num_parts is None:
-        num_parts = auto_num_parts(edges)
-    if num_nodes > (1 << 31):
-        raise ValueError("label packing uses 31 bits per field — "
-                         "re-pack keys for > 2^31 nodes")
-    state_mode = _resolve_state_mode(state_mode, num_nodes)
-    if state_mode == "dataset":
-        return _lpa_dataset(edges, num_nodes, iters=iters,
-                            directed=directed, src_col=src_col,
-                            dst_col=dst_col, num_parts=num_parts)
-    if state_mode != "broadcast":
-        raise ValueError(
-            "state_mode must be 'broadcast', 'dataset', or 'auto'")
-    labels = np.arange(num_nodes, dtype=np.int64)
-
-    def pair_counts(batch: pa.Table, *, labels_ref) -> pa.Table:
-        lv = ray.get(labels_ref)
-        s = batch[src_col].to_numpy(zero_copy_only=False)
-        d = batch[dst_col].to_numpy(zero_copy_only=False)
-        if len(s) and (int(max(s.max(), d.max())) >= len(lv)
-                       or int(min(s.min(), d.min())) < 0):
-            raise ValueError(
-                "edge endpoint outside [0, num_nodes) — the graph was "
-                "built from a different corpus than this id space")
-        if directed:
-            nodes, nbr_label = d, lv[s]
-        else:
-            nodes = np.concatenate([d, s])
-            nbr_label = np.concatenate([lv[s], lv[d]])
-        # packing needs 62 bits: cast regardless of the edge columns'
-        # stored dtype (an int32 source would silently wrap the shift)
-        packed, cnt = np.unique(
-            (nodes.astype(np.int64) << 31) | nbr_label.astype(np.int64),
-            return_counts=True)
-        return pa.table({
-            "part": pa.array(((packed >> 31) % num_parts)
-                             .astype(np.int32)),
-            "key": pa.array(packed),
-            "n": pa.array(cnt.astype(np.int64)),
-        })
-
-    def argmax_label(group: pa.Table) -> pa.Table:
-        key = group["key"].to_numpy(zero_copy_only=False)
-        n = group["n"].to_numpy(zero_copy_only=False)
-        # merge duplicate (node,label) keys across batches
-        uk, inv = np.unique(key, return_inverse=True)
-        tot = np.zeros(uk.size, dtype=np.int64)
-        np.add.at(tot, inv, n)
-        node = uk >> 31
-        lab = uk & ((1 << 31) - 1)
-        # per node: count desc, label asc → sort and take first of group
-        order = np.lexsort((lab, -tot, node))
-        node_s = node[order]
-        first = np.ones(node_s.size, dtype=bool)
-        first[1:] = node_s[1:] != node_s[:-1]
-        return pa.table({
-            "node": pa.array(node_s[first], type=pa.int64()),
-            "label": pa.array(lab[order][first], type=pa.int64()),
-        })
-
-    for _ in range(iters):
-        ref = ray.put(labels)
-        folded = (edges.map_batches(pair_counts, batch_format="pyarrow",
-                                    fn_kwargs={"labels_ref": ref})
-                  .groupby("part")
-                  .map_groups(argmax_label, batch_format="pyarrow"))
-        nxt = labels.copy()
-        for b in _fold_arrays(folded):  # ≤ num_nodes rows (O(N) contract)
-            nxt[b["node"]] = b["label"]
-        labels = nxt
-
-    return pa.table({
-        "node": pa.array(np.arange(num_nodes, dtype=np.int64)),
-        "label": pa.array(labels),
-    })
-
-
-def shortest_paths(edges: Dataset, num_nodes: int, *, sources,
-                   rounds: int, weight_col: str,
-                   directed: bool = False, src_col: str = "src",
-                   dst_col: str = "dst",
-                   num_parts: int | None = None,
-                   state_mode: str = "broadcast") -> pa.Table | Dataset:
-    """Bounded-round Bellman-Ford single/multi-source shortest paths
-    with non-negative INTEGER edge weights → (node, dist) for every
-    node whose ≤ ``rounds``-edge shortest path is final, node-ascending.
-    After k rounds the tentative distance equals the true shortest
-    distance over paths of ≤ k edges — exact (and oracle-unrollable)
-    for any k ≥ the graph's hop diameter.
-
-    The weighted complement of :func:`bfs_hops` (hop counts) built on a
-    MIN-fold where pagerank folds sums: per round the O(N) int64
-    distance vector broadcasts via ``ray.put``; one edges pass emits
-    per-batch per-dst MINIMUM relaxation partials (a sort + reduceat,
-    never raw edge rows); a coarse dst-hash groupby folds mins; the
-    driver applies ≤ N updates. Integer weights make every comparison
-    exact — no float accumulation order to match.
-    ``state_mode="dataset"`` keeps the distance vector as a
-    hash-partitioned (node, dist) Dataset zip-joined per round
-    (identical distances, node-ascending Dataset result) — the
-    beyond-10^8-nodes path."""
-    import ray
-
-    if num_nodes <= 0:
-        raise ValueError("num_nodes must be positive")
-    if num_parts is None:
-        num_parts = auto_num_parts(edges)
-    state_mode = _resolve_state_mode(state_mode, num_nodes)
-    if state_mode == "dataset":
-        return _sssp_dataset(
-            edges, num_nodes, sources=sources, rounds=rounds,
-            weight_col=weight_col, directed=directed, src_col=src_col,
-            dst_col=dst_col, num_parts=num_parts)
-    if state_mode != "broadcast":
-        raise ValueError(
-            "state_mode must be 'broadcast', 'dataset', or 'auto'")
-    INF = np.int64(np.iinfo(np.int64).max)
-    dist = np.full(num_nodes, INF, dtype=np.int64)
-    seeds = np.unique(np.asarray(list(sources), dtype=np.int64))
-    if seeds.size == 0:
-        raise ValueError("shortest_paths needs at least one source")
-    if int(seeds.min()) < 0 or int(seeds.max()) >= num_nodes:
-        raise ValueError(
-            f"source ids must be dense node ids in [0, {num_nodes})")
-    dist[seeds] = 0
-
-    def relax(batch: pa.Table, *, dist_ref) -> pa.Table:
-        dv = ray.get(dist_ref)
-        s = batch[src_col].to_numpy(zero_copy_only=False)
-        d = batch[dst_col].to_numpy(zero_copy_only=False)
-        w = batch[weight_col].to_numpy(zero_copy_only=False)
-        if len(w) and (not np.issubdtype(w.dtype, np.integer)
-                       or int(w.min()) < 0):
-            raise ValueError("shortest_paths needs non-negative "
-                             "integer edge weights")
-        if len(s) and (int(max(s.max(), d.max())) >= len(dv)
-                       or int(min(s.min(), d.min())) < 0):
-            raise ValueError(
-                "edge endpoint outside [0, num_nodes) — the graph was "
-                "built from a different corpus than this id space")
-        if not directed:
-            s, d = np.concatenate([s, d]), np.concatenate([d, s])
-            w = np.concatenate([w, w])
-        reach = dv[s] != INF
-        s, d, w = s[reach], d[reach], w[reach]
-        cand = dv[s] + w.astype(np.int64)
-        better = cand < dv[d]
-        d, cand = d[better], cand[better]
-        order = np.argsort(d, kind="stable")
-        d, cand = d[order], cand[order]
-        first = np.ones(d.size, dtype=bool)
-        first[1:] = d[1:] != d[:-1]
-        mins = np.minimum.reduceat(cand, np.flatnonzero(first)) \
-            if d.size else cand
-        return pa.table({
-            "part": pa.array((d[first] % num_parts).astype(np.int32)),
-            "node": pa.array(d[first], type=pa.int64()),
-            "cand": pa.array(mins, type=pa.int64()),
-        })
-
-    def min_fold(group: pa.Table) -> pa.Table:
-        node = group["node"].to_numpy(zero_copy_only=False)
-        cand = group["cand"].to_numpy(zero_copy_only=False)
-        order = np.argsort(node, kind="stable")
-        node, cand = node[order], cand[order]
-        first = np.ones(node.size, dtype=bool)
-        first[1:] = node[1:] != node[:-1]
-        return pa.table({
-            "node": pa.array(node[first], type=pa.int64()),
-            "cand": pa.array(np.minimum.reduceat(
-                cand, np.flatnonzero(first)), type=pa.int64()),
-        })
-
-    for _ in range(rounds):
-        ref = ray.put(dist)
-        folded = (edges.map_batches(relax, batch_format="pyarrow",
-                                    fn_kwargs={"dist_ref": ref})
-                  .groupby("part")
-                  .map_groups(min_fold, batch_format="pyarrow"))
-        changed = False
-        for b in _fold_arrays(folded):  # ≤ num_nodes rows
-            # each node appears once per fold output → vectorized CAS
-            upd = b["cand"] < dist[b["node"]]
-            if upd.any():
-                dist[b["node"][upd]] = b["cand"][upd]
-                changed = True
-        if not changed:
-            break
-
-    reached = np.flatnonzero(dist != INF)
-    return pa.table({
-        "node": pa.array(reached.astype(np.int64)),
-        "dist": pa.array(dist[reached]),
-    })
-
-
-def kcore(edges: Dataset, num_nodes: int, *, k: int,
-          src_col: str = "src", dst_col: str = "dst",
-          max_rounds: int = 100,
-          num_parts: int | None = None,
-          state_mode: str = "broadcast") -> pa.Table | Dataset:
-    """k-core decomposition membership — iteratively peel nodes of
-    degree < k (degree counted over edges whose BOTH endpoints are
-    still alive) until stable → (node,) table of the k-core's members,
-    node-ascending. UNDIRECTED MULTIGRAPH semantics like
-    :func:`label_propagation`: every edge instance counts toward the
-    degree of BOTH its endpoints (a directed edge list is fine — each
-    row is treated as one incident edge at each end).
-
-    The peel loop is the third broadcast-iterate variant (BFS =
-    frontier, LPA = argmax, k-core = degree threshold): per round the
-    O(N) alive bitmap broadcasts via ``ray.put``; one edges pass emits
-    per-batch alive-degree COUNT partials (packed unique, never raw
-    edges); a coarse node-hash groupby sums; the driver kills nodes
-    under k. Rounds are O(peel depth); ``max_rounds`` exhaustion
-    RAISES rather than returning a superset of the core.
-    ``state_mode="dataset"`` keeps the alive bitmap as a
-    hash-partitioned (node, alive) Dataset zip-joined per round —
-    identical membership, node-ascending Dataset result — for beyond
-    the ~10^8-node broadcast bound."""
-    import ray
-
-    if num_nodes <= 0:
-        raise ValueError("num_nodes must be positive")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if num_parts is None:
-        num_parts = auto_num_parts(edges)
-    state_mode = _resolve_state_mode(state_mode, num_nodes)
-    if state_mode == "dataset":
-        return _kcore_dataset(edges, num_nodes, k=k, src_col=src_col,
-                              dst_col=dst_col, max_rounds=max_rounds,
-                              num_parts=num_parts)
-    if state_mode != "broadcast":
-        raise ValueError(
-            "state_mode must be 'broadcast', 'dataset', or 'auto'")
-    alive = np.ones(num_nodes, dtype=bool)
-
-    def deg_partial(batch: pa.Table, *, alive_ref) -> pa.Table:
-        av = ray.get(alive_ref)
-        s = batch[src_col].to_numpy(zero_copy_only=False)
-        d = batch[dst_col].to_numpy(zero_copy_only=False)
-        if len(s) and (int(max(s.max(), d.max())) >= len(av)
-                       or int(min(s.min(), d.min())) < 0):
-            raise ValueError(
-                "edge endpoint outside [0, num_nodes) — the graph was "
-                "built from a different corpus than this id space")
-        both = av[s] & av[d]
-        node, n = np.unique(np.concatenate([s[both], d[both]]),
-                            return_counts=True)
-        return pa.table({
-            "part": pa.array((node % num_parts).astype(np.int32)),
-            "node": pa.array(node, type=pa.int64()),
-            "n": pa.array(n.astype(np.int64)),
-        })
-
-    def sum_fold(group: pa.Table) -> pa.Table:
-        node = group["node"].to_numpy(zero_copy_only=False)
-        n = group["n"].to_numpy(zero_copy_only=False)
-        uk, inv = np.unique(node, return_inverse=True)
-        tot = np.zeros(uk.size, dtype=np.int64)
-        np.add.at(tot, inv, n)
-        return pa.table({"node": pa.array(uk, type=pa.int64()),
-                         "deg": pa.array(tot)})
-
-    # max_rounds bounds the KILL rounds; the stability-confirming pass
-    # after the last kill is free (so an exactly-max_rounds-deep
-    # cascade matches a max_rounds-unrolled oracle instead of raising)
-    kills = 0
-    while True:
-        ref = ray.put(alive)
-        folded = (edges.map_batches(deg_partial, batch_format="pyarrow",
-                                    fn_kwargs={"alive_ref": ref})
-                  .groupby("part")
-                  .map_groups(sum_fold, batch_format="pyarrow"))
-        deg = np.zeros(num_nodes, dtype=np.int64)
-        for b in _fold_arrays(folded):  # ≤ num_nodes rows
-            deg[b["node"]] = b["deg"]
-        kill = alive & (deg < k)
-        if not kill.any():
-            members = np.flatnonzero(alive)
-            return pa.table({
-                "node": pa.array(members.astype(np.int64))})
-        if kills == max_rounds:
-            raise RuntimeError(
-                f"kcore did not stabilize in {max_rounds} rounds — "
-                "raise max_rounds (each round peels at least one node)")
-        alive[kill] = False
-        kills += 1
-
-
-# ---------------------------------------------------------------------------
-# Zip-join ("dataset") state mode for the broadcast-iterate family
-# ---------------------------------------------------------------------------
-# The broadcast variants above hold one O(N) numpy vector on the driver
-# and `ray.put` it per round — fine to ~10^8 nodes (the measured
-# crossover note lives in each dispatcher's docstring). Beyond that the
-# per-round state must itself be a Dataset: one (node, *state) row per
-# node, hash-partitioned by `node & (num_parts-1)`, zip-joined to the
-# edge list per round with the `cluster_canonicals` union-shuffle
-# segment-zip shape (no `Dataset.join`). Every fold below reuses the
-# SAME per-dst ordered/commutative reduction as its broadcast sibling,
-# so the two modes are bit-identical (pytest-pinned in
-# tests/test_graph_zipjoin.py).
-
-
-def _edges_by_src(edges: Dataset, src_col: str, dst_col: str,
-                  weight_col: str | None, num_parts: int,
-                  undirect: bool, num_nodes: int) -> Dataset:
-    """Materialize (gpart, node=src, dst, w, side=1) keyed by the SRC
-    partition — the per-round scan side of every zip-join round.
-    ``undirect=True`` doubles each edge (the multigraph both-ways vote
-    used by label propagation). Endpoints are validated against
-    ``num_nodes`` here, once, instead of per round."""
-    mask = num_parts - 1
-
-    def tag(batch: pa.Table) -> pa.Table:
-        s = batch[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        d = batch[dst_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(s) and (int(max(s.max(), d.max())) >= num_nodes
-                       or int(min(s.min(), d.min())) < 0):
-            raise ValueError(
-                "edge endpoint outside [0, num_nodes) — the graph was "
-                "built from a different corpus than this id space")
-        if weight_col is None:
-            w = np.ones(len(s), dtype=np.int64)
-        else:
-            w = batch[weight_col].to_numpy(zero_copy_only=False)
-            if len(w) and not np.issubdtype(w.dtype, np.integer):
-                # broadcast mode RAISES on float weights; an astype
-                # here would silently truncate instead
-                raise ValueError(
-                    "edge weights must be integers (float weights "
-                    "would be silently truncated)")
-            w = w.astype(np.int64)
-        if undirect:
-            s, d = np.concatenate([s, d]), np.concatenate([d, s])
-            w = np.concatenate([w, w])
-        return pa.table({
-            "gpart": pa.array((s & mask).astype(np.int32)),
-            "node": pa.array(s),
-            "dst": pa.array(d),
-            "w": pa.array(w),
-            "side": pa.array(np.ones(len(s), dtype=np.int8)),
-        })
-
-    return (edges.map_batches(tag, batch_format="pyarrow")
-            .repartition(num_parts).materialize())
-
-
-def _attach_state(group: pa.Table, val_cols: list[str]):
-    """Segment-zip a partition's state rows (side=0, one per node) onto
-    its edge rows (side=1, node=src): sort by (node, side), forward-fill
-    each node's state row index onto its edge rows, and return
-    ``(edge_sel, attached)`` — the sorted-order edge selection arrays
-    (node, dst, w) plus a dict of each *val_col* gathered at the edge's
-    src. Raises if an edge's src has no state row (the two inputs were
-    built over different id spaces)."""
-    node = group["node"].to_numpy(zero_copy_only=False)
-    side = group["side"].to_numpy(zero_copy_only=False)
-    order = np.lexsort((side, node))
-    node_s = node[order]
-    is_state = side[order] == 0
-    n = len(node_s)
-    seg_first = np.ones(n, dtype=bool)
-    seg_first[1:] = node_s[1:] != node_s[:-1]
-    src_idx = np.where(seg_first & is_state, np.arange(n), 0)
-    src_idx = np.maximum.accumulate(src_idx)
-    if n and not (is_state[src_idx].all()
-                  and (node_s[src_idx] == node_s).all()):
-        raise ValueError(
-            "edge src without a state row — state and edge Datasets "
-            "cover different node-id spaces")
-    em = ~is_state
-    sel = {
-        "node": node_s[em],
-        "dst": group["dst"].to_numpy(zero_copy_only=False)[order][em],
-        "w": group["w"].to_numpy(zero_copy_only=False)[order][em],
-    }
-    attached = {
-        c: group[c].to_numpy(zero_copy_only=False)[order][src_idx][em]
-        for c in val_cols
-    }
-    return sel, attached
-
-
-def _zip_segments(node_sorted: np.ndarray):
-    """(seg_first mask, segment start indices) of a node-sorted array."""
-    n = len(node_sorted)
-    first = np.ones(n, dtype=bool)
-    first[1:] = node_sorted[1:] != node_sorted[:-1]
-    return first, np.flatnonzero(first)
-
-
-def _pagerank_dataset(edges: Dataset, num_nodes: int, *, iters: int,
-                      damping: float, flat_teleport: bool,
-                      weight_col: str | None, src_col: str, dst_col: str,
-                      num_parts: int) -> Dataset:
-    """Dataset-state PageRank — see :func:`pagerank` (state_mode
-    "dataset"). State is (gpart, node, rank, outdeg, …) rows; per round:
-    one segment-zip gather (attach rank/outdeg at each edge's src), the
-    SAME ascending-src per-dst ordered float fold as broadcast mode, and
-    one state-rebuild zip. Returns a node-ascending (node, pagerank)
-    Dataset — at the scale this mode exists for, the result itself is
-    too large to hold on the driver."""
-    import ray.data as rd
-
-    mask = num_parts - 1
-    init = 1.0 if flat_teleport else 1.0 / num_nodes
-    teleport = (1.0 - damping) if flat_teleport else \
-        (1.0 - damping) / num_nodes
-
-    E = _edges_by_src(edges, src_col, dst_col, weight_col, num_parts,
-                      False, num_nodes)
-
-    # ---- initial state: outdeg via the same partial-count pass as
-    # broadcast mode, zipped against the dense node range ----
-    def deg_partial(batch: pa.Table) -> pa.Table:
-        s = batch["node"].to_numpy(zero_copy_only=False)
-        w = batch["w"].to_numpy(zero_copy_only=False)
-        u, inv = np.unique(s, return_inverse=True)
-        c = np.bincount(inv, weights=w, minlength=len(u)).astype(np.int64)
-        return pa.table({
-            "gpart": pa.array((u & mask).astype(np.int32)),
-            "node": pa.array(u, type=pa.int64()),
-            "n": pa.array(c),
-            "side": pa.array(np.ones(len(u), dtype=np.int8)),
-        })
-
-    def range_rows(batch: pa.Table) -> pa.Table:
-        ids = batch["id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "gpart": pa.array((ids & mask).astype(np.int32)),
-            "node": pa.array(ids),
-            "n": pa.array(np.zeros(len(ids), dtype=np.int64)),
-            "side": pa.array(np.zeros(len(ids), dtype=np.int8)),
-        })
-
-    def init_state(group: pa.Table) -> pa.Table:
-        node = group["node"].to_numpy(zero_copy_only=False)
-        nv = group["n"].to_numpy(zero_copy_only=False)
-        order = np.argsort(node, kind="stable")
-        node_s, nv_s = node[order], nv[order]
-        first, starts = _zip_segments(node_s)
-        deg = np.add.reduceat(nv_s, starts) if len(node_s) else nv_s
-        u = node_s[first]
-        return pa.table({
-            "gpart": pa.array((u & mask).astype(np.int32)),
-            "node": pa.array(u, type=pa.int64()),
-            "dst": pa.array(np.full(u.size, -1, dtype=np.int64)),
-            "w": pa.array(np.zeros(u.size, dtype=np.int64)),
-            "rank": pa.array(np.full(u.size, init, dtype=np.float64)),
-            "outdeg": pa.array(deg.astype(np.float64)),
-            "side": pa.array(np.zeros(u.size, dtype=np.int8)),
-        })
-
-    state = (rd.range(num_nodes).map_batches(
-                 range_rows, batch_format="pyarrow")
-             .union(E.map_batches(deg_partial, batch_format="pyarrow"))
-             .groupby("gpart")
-             .map_groups(init_state, batch_format="pyarrow")
-             .materialize())
-
-    def edge_with_vals(batch: pa.Table) -> pa.Table:
-        # pad edge rows to the state schema so union() zips them
-        n = batch.num_rows
-        return pa.table({
-            "gpart": batch["gpart"], "node": batch["node"],
-            "dst": batch["dst"], "w": batch["w"],
-            "rank": pa.array(np.zeros(n, dtype=np.float64)),
-            "outdeg": pa.array(np.zeros(n, dtype=np.float64)),
-            "side": batch["side"],
-        })
-
-    def gather(group: pa.Table) -> pa.Table:
-        sel, vals = _attach_state(group, ["rank", "outdeg"])
-        c = vals["rank"] / vals["outdeg"]
-        if weight_col is not None:
-            c = c * sel["w"]
-        d = sel["dst"]
-        return pa.table({
-            "part": pa.array((d & mask).astype(np.int32)),
-            "dst": pa.array(d, type=pa.int64()),
-            "src": pa.array(sel["node"], type=pa.int64()),
-            "contrib": pa.array(c),
-        })
-
-    def fold(group: pa.Table) -> pa.Table:
-        # identical to broadcast-mode fold: per-dst ascending-src
-        # element-sequential np.add.at left fold → bit-identical sums
-        dst = group["dst"].to_numpy(zero_copy_only=False)
-        src = group["src"].to_numpy(zero_copy_only=False)
-        c = group["contrib"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((src, dst))
-        dst, c = dst[order], c[order]
-        uniq, inv = np.unique(dst, return_inverse=True)
-        sums = np.zeros(uniq.size, dtype=np.float64)
-        np.add.at(sums, inv, c)
-        return pa.table({
-            "gpart": pa.array((uniq & mask).astype(np.int32)),
-            "node": pa.array(uniq, type=pa.int64()),
-            "s": pa.array(sums),
-            "side": pa.array(np.ones(uniq.size, dtype=np.int8)),
-        })
-
-    def state_for_rebuild(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "gpart": batch["gpart"], "node": batch["node"],
-            "s": batch["rank"],      # carried; side 0 rows keep outdeg
-            "side": pa.array(np.zeros(batch.num_rows, dtype=np.int8)),
-            "outdeg": batch["outdeg"],
-        })
-
-    def fold_for_rebuild(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "gpart": batch["gpart"], "node": batch["node"],
-            "s": batch["s"], "side": batch["side"],
-            "outdeg": pa.array(
-                np.zeros(batch.num_rows, dtype=np.float64)),
-        })
-
-    def combine(group: pa.Table) -> pa.Table:
-        node = group["node"].to_numpy(zero_copy_only=False)
-        side = group["side"].to_numpy(zero_copy_only=False)
-        s = group["s"].to_numpy(zero_copy_only=False)
-        od = group["outdeg"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((side, node))
-        node_s, side_s = node[order], side[order]
-        s_s, od_s = s[order], od[order]
-        first, starts = _zip_segments(node_s)
-        if not (side_s[starts] == 0).all():
-            raise ValueError("fold emitted a node with no state row")
-        u = node_s[first]
-        inc = np.zeros(u.size, dtype=np.float64)
-        seg_of = np.cumsum(first) - 1
-        fr = side_s == 1          # ≤ 1 fold row per node
-        inc[seg_of[fr]] = s_s[fr]
-        return pa.table({
-            "gpart": pa.array((u & mask).astype(np.int32)),
-            "node": pa.array(u, type=pa.int64()),
-            "dst": pa.array(np.full(u.size, -1, dtype=np.int64)),
-            "w": pa.array(np.zeros(u.size, dtype=np.int64)),
-            "rank": pa.array(teleport + damping * inc),
-            "outdeg": pa.array(od_s[first]),
-            "side": pa.array(np.zeros(u.size, dtype=np.int8)),
-        })
-
-    for _ in range(iters):
-        folded = (state.union(E.map_batches(edge_with_vals,
-                                            batch_format="pyarrow"))
-                  .groupby("gpart")
-                  .map_groups(gather, batch_format="pyarrow")
-                  .groupby("part")
-                  .map_groups(fold, batch_format="pyarrow"))
-        # repartition before the materialize boundary — union adds the
-        # fold blocks every round and groupbys preserve block count
-        # (the connected_components round discipline, NOTES r4)
-        state = (state.map_batches(state_for_rebuild,
-                                   batch_format="pyarrow")
-                 .union(folded.map_batches(fold_for_rebuild,
-                                           batch_format="pyarrow"))
-                 .groupby("gpart")
-                 .map_groups(combine, batch_format="pyarrow")
-                 .repartition(num_parts)
-                 .materialize())
-
-    def emit(batch: pa.Table) -> pa.Table:
-        return pa.table({"node": batch["node"],
-                         "pagerank": batch["rank"]})
-
-    return state.map_batches(emit, batch_format="pyarrow").sort("node")
-
-
-def _lpa_dataset(edges: Dataset, num_nodes: int, *, iters: int,
-                 directed: bool, src_col: str, dst_col: str,
-                 num_parts: int) -> Dataset:
-    """Dataset-state label propagation — see :func:`label_propagation`
-    (state_mode "dataset"). Identical vote counting and (count desc,
-    label asc) argmax as broadcast mode; the label vector lives as
-    (node, label) rows zip-joined per round."""
-    import ray.data as rd
-
-    mask = num_parts - 1
-    if num_nodes > (1 << 31):
-        raise ValueError("label packing uses 31 bits per field — "
-                         "re-pack keys for > 2^31 nodes")
-    E = _edges_by_src(edges, src_col, dst_col, None, num_parts,
-                      not directed, num_nodes)
-
-    def init_state(batch: pa.Table) -> pa.Table:
-        ids = batch["id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "gpart": pa.array((ids & mask).astype(np.int32)),
-            "node": pa.array(ids),
-            "dst": pa.array(np.full(ids.size, -1, dtype=np.int64)),
-            "w": pa.array(np.zeros(ids.size, dtype=np.int64)),
-            "label": pa.array(ids),
-            "side": pa.array(np.zeros(ids.size, dtype=np.int8)),
-        })
-
-    state = (rd.range(num_nodes)
-             .map_batches(init_state, batch_format="pyarrow")
-             .repartition(num_parts).materialize())
-
-    def edge_pad(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "gpart": batch["gpart"], "node": batch["node"],
-            "dst": batch["dst"], "w": batch["w"],
-            "label": pa.array(np.zeros(batch.num_rows, dtype=np.int64)),
-            "side": batch["side"],
-        })
-
-    def gather_votes(group: pa.Table) -> pa.Table:
-        sel, vals = _attach_state(group, ["label"])
-        d, lab = sel["dst"], vals["label"]
-        packed, cnt = np.unique(
-            (d.astype(np.int64) << 31) | lab.astype(np.int64),
-            return_counts=True)
-        return pa.table({
-            "part": pa.array(((packed >> 31) & mask).astype(np.int32)),
-            "key": pa.array(packed),
-            "n": pa.array(cnt.astype(np.int64)),
-        })
-
-    def argmax_votes(group: pa.Table) -> pa.Table:
-        key = group["key"].to_numpy(zero_copy_only=False)
-        n = group["n"].to_numpy(zero_copy_only=False)
-        uk, inv = np.unique(key, return_inverse=True)
-        tot = np.zeros(uk.size, dtype=np.int64)
-        np.add.at(tot, inv, n)
-        node = uk >> 31
-        lab = uk & ((1 << 31) - 1)
-        order = np.lexsort((lab, -tot, node))
-        node_s = node[order]
-        first = np.ones(node_s.size, dtype=bool)
-        first[1:] = node_s[1:] != node_s[:-1]
-        u = node_s[first]
-        return pa.table({
-            "gpart": pa.array((u & mask).astype(np.int32)),
-            "node": pa.array(u, type=pa.int64()),
-            "label": pa.array(lab[order][first], type=pa.int64()),
-            "side": pa.array(np.ones(u.size, dtype=np.int8)),
-        })
-
-    def state_flat(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "gpart": batch["gpart"], "node": batch["node"],
-            "label": batch["label"],
-            "side": pa.array(np.zeros(batch.num_rows, dtype=np.int8)),
-        })
-
-    def combine(group: pa.Table) -> pa.Table:
-        node = group["node"].to_numpy(zero_copy_only=False)
-        side = group["side"].to_numpy(zero_copy_only=False)
-        lab = group["label"].to_numpy(zero_copy_only=False)
-        # vote row (side 1) wins when present: sort (node, side) and
-        # take the LAST row of each segment
-        order = np.lexsort((side, node))
-        node_s, lab_s = node[order], lab[order]
-        last = np.ones(node_s.size, dtype=bool)
-        last[:-1] = node_s[1:] != node_s[:-1]
-        u = node_s[last]
-        return pa.table({
-            "gpart": pa.array((u & mask).astype(np.int32)),
-            "node": pa.array(u, type=pa.int64()),
-            "dst": pa.array(np.full(u.size, -1, dtype=np.int64)),
-            "w": pa.array(np.zeros(u.size, dtype=np.int64)),
-            "label": pa.array(lab_s[last], type=pa.int64()),
-            "side": pa.array(np.zeros(u.size, dtype=np.int8)),
-        })
-
-    for _ in range(iters):
-        votes = (state.union(E.map_batches(edge_pad,
-                                           batch_format="pyarrow"))
-                 .groupby("gpart")
-                 .map_groups(gather_votes, batch_format="pyarrow")
-                 .groupby("part")
-                 .map_groups(argmax_votes, batch_format="pyarrow"))
-        state = (state.map_batches(state_flat, batch_format="pyarrow")
-                 .union(votes)
-                 .groupby("gpart")
-                 .map_groups(combine, batch_format="pyarrow")
-                 .repartition(num_parts).materialize())
-
-    def emit(batch: pa.Table) -> pa.Table:
-        return pa.table({"node": batch["node"], "label": batch["label"]})
-
-    return state.map_batches(emit, batch_format="pyarrow").sort("node")
-
-
-def _hits_dataset(edges: Dataset, num_nodes: int, *, iters: int,
-                  src_col: str, dst_col: str,
-                  num_parts: int) -> Dataset:
-    """Dataset-state HITS — see :func:`hits` (state_mode "dataset").
-    Same unnormalized all-int64 mutual recursion; the two score vectors
-    live as (node, h, a) rows. Each half-step gathers the opposite
-    score at the edge's OWNED endpoint, so the forward edge table
-    serves the authority step and a reversed copy serves the hub step
-    (both built once). Integer sums commute — no ordered-fold
-    discipline, identical to broadcast mode's np.add.at partials."""
-    import ray.data as rd
-
-    mask = num_parts - 1
-    if num_nodes >= 1 << 31:
-        raise ValueError("dense node-id HITS caps at 2^31 nodes")
-    E_fwd = _edges_by_src(edges, src_col, dst_col, None, num_parts,
-                          False, num_nodes)
-    E_rev = _edges_by_src(edges, dst_col, src_col, None, num_parts,
-                          False, num_nodes)
-
-    def init_state(batch: pa.Table) -> pa.Table:
-        ids = batch["id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "gpart": pa.array((ids & mask).astype(np.int32)),
-            "node": pa.array(ids),
-            "dst": pa.array(np.full(ids.size, -1, dtype=np.int64)),
-            "w": pa.array(np.zeros(ids.size, dtype=np.int64)),
-            "h": pa.array(np.ones(ids.size, dtype=np.int64)),
-            "a": pa.array(np.zeros(ids.size, dtype=np.int64)),
-            "side": pa.array(np.zeros(ids.size, dtype=np.int8)),
-        })
-
-    state = (rd.range(num_nodes)
-             .map_batches(init_state, batch_format="pyarrow")
-             .repartition(num_parts).materialize())
-
-    def edge_pad(batch: pa.Table) -> pa.Table:
-        z = pa.array(np.zeros(batch.num_rows, dtype=np.int64))
-        return pa.table({
-            "gpart": batch["gpart"], "node": batch["node"],
-            "dst": batch["dst"], "w": batch["w"],
-            "h": z, "a": z, "side": batch["side"],
-        })
-
-    def make_gather(col: str):
-        def gather(group: pa.Table) -> pa.Table:
-            sel, vals = _attach_state(group, [col])
-            d = sel["dst"]
-            order = np.argsort(d, kind="stable")
-            d_s, v_s = d[order], vals[col][order]
-            first = np.ones(d_s.size, dtype=bool)
-            first[1:] = d_s[1:] != d_s[:-1]
-            starts = np.flatnonzero(first)
-            s = np.add.reduceat(v_s, starts) if d_s.size else v_s
-            cnt = np.diff(np.append(starts, d_s.size)) if d_s.size \
-                else np.empty(0, dtype=np.int64)
-            u = d_s[first]
-            return pa.table({
-                "part": pa.array((u & mask).astype(np.int32)),
-                "node": pa.array(u, type=pa.int64()),
-                "s": pa.array(s.astype(np.int64)),
-                "d": pa.array(cnt.astype(np.int64)),
-            })
-        return gather
-
-    def fold_sum(group: pa.Table) -> pa.Table:
-        node = group["node"].to_numpy(zero_copy_only=False)
-        s = group["s"].to_numpy(zero_copy_only=False)
-        d = group["d"].to_numpy(zero_copy_only=False)
-        order = np.argsort(node, kind="stable")
-        node_s, s_s, d_s = node[order], s[order], d[order]
-        first, starts = _zip_segments(node_s)
-        u = node_s[first]
-        return pa.table({
-            "gpart": pa.array((u & mask).astype(np.int32)),
-            "node": pa.array(u, type=pa.int64()),
-            "s": pa.array(np.add.reduceat(s_s, starts)
-                          if node_s.size else s_s),
-            "d": pa.array(np.add.reduceat(d_s, starts)
-                          if node_s.size else d_s),
-            "side": pa.array(np.ones(u.size, dtype=np.int8)),
-        })
-
-    def make_combine(set_col: str):
-        keep_col = "h" if set_col == "a" else "a"
-
-        def combine(group: pa.Table) -> pa.Table:
-            node = group["node"].to_numpy(zero_copy_only=False)
-            side = group["side"].to_numpy(zero_copy_only=False)
-            s = group["s"].to_numpy(zero_copy_only=False)
-            keep = group[keep_col].to_numpy(zero_copy_only=False)
-            order = np.lexsort((side, node))
-            node_s, side_s = node[order], side[order]
-            s_s, keep_s = s[order], keep[order]
-            first, _ = _zip_segments(node_s)
-            if not (side_s[first] == 0).all():
-                raise ValueError("fold emitted a node with no state row")
-            u = node_s[first]
-            newv = np.zeros(u.size, dtype=np.int64)
-            seg_of = np.cumsum(first) - 1
-            fr = side_s == 1
-            newv[seg_of[fr]] = s_s[fr]
-            cols = {"gpart": pa.array((u & mask).astype(np.int32)),
-                    "node": pa.array(u, type=pa.int64()),
-                    "dst": pa.array(np.full(u.size, -1, dtype=np.int64)),
-                    "w": pa.array(np.zeros(u.size, dtype=np.int64))}
-            cols[set_col] = pa.array(newv)
-            cols[keep_col] = pa.array(keep_s[first])
-            cols["side"] = pa.array(np.zeros(u.size, dtype=np.int8))
-            return pa.table(cols)
-        return combine
-
-    def state_with_s(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "gpart": batch["gpart"], "node": batch["node"],
-            "s": pa.array(np.zeros(batch.num_rows, dtype=np.int64)),
-            "d": pa.array(np.zeros(batch.num_rows, dtype=np.int64)),
-            "h": batch["h"], "a": batch["a"],
-            "side": pa.array(np.zeros(batch.num_rows, dtype=np.int8)),
-        })
-
-    def fold_with_state_cols(batch: pa.Table) -> pa.Table:
-        z = pa.array(np.zeros(batch.num_rows, dtype=np.int64))
-        return pa.table({
-            "gpart": batch["gpart"], "node": batch["node"],
-            "s": batch["s"], "d": batch["d"],
-            "h": z, "a": z, "side": batch["side"],
-        })
-
-    in_max = out_max = 0
-
-    def half(state, E, gather_col, set_col):
-        folded = (state.union(E.map_batches(edge_pad,
-                                            batch_format="pyarrow"))
-                  .groupby("gpart")
-                  .map_groups(make_gather(gather_col),
-                              batch_format="pyarrow")
-                  .groupby("part")
-                  .map_groups(fold_sum, batch_format="pyarrow")
-                  .materialize())
-        dmax = folded.max("d") or 0
-        nxt = (state.map_batches(state_with_s, batch_format="pyarrow")
-               .union(folded.map_batches(fold_with_state_cols,
-                                         batch_format="pyarrow"))
-               .groupby("gpart")
-               .map_groups(make_combine(set_col), batch_format="pyarrow")
-               .repartition(num_parts).materialize())
-        return nxt, int(dmax)
-
-    for it in range(int(iters)):
-        if it > 0:
-            hmax = state.max("h") or 0
-            if int(hmax) * in_max * out_max >= (1 << 62):
-                raise ValueError("HITS iterate bound ≥ 2^62 — lower iters")
-        state, in_max = half(state, E_fwd, "h", "a")
-        state, out_max = half(state, E_rev, "a", "h")
-
-    def emit(batch: pa.Table) -> pa.Table:
-        return pa.table({"node": batch["node"], "hub": batch["h"],
-                         "authority": batch["a"]})
-
-    return state.map_batches(emit, batch_format="pyarrow").sort("node")
-
-
-def _bfs_dataset(edges: Dataset, num_nodes: int, *, sources,
-                 max_hops: int | None, directed: bool,
-                 src_col: str, dst_col: str, num_parts: int) -> Dataset:
-    """Dataset-state multi-source BFS — see :func:`bfs_hops`
-    (state_mode "dataset"). The distance vector lives as (node, dist)
-    rows (-1 = unvisited); per round one segment-zip gather emits the
-    frontier's neighbor candidates and one state-rebuild zip assigns
-    ``h+1`` to still-unvisited candidates. Per-round frontier size
-    comes from a O(parts) count, not driver-side rows."""
-    import ray.data as rd
-
-    mask = num_parts - 1
-    seeds = np.unique(np.asarray(list(sources), dtype=np.int64))
-    if seeds.size == 0:
-        raise ValueError("bfs_hops needs at least one source")
-    if int(seeds.min()) < 0 or int(seeds.max()) >= num_nodes:
-        raise ValueError(
-            f"source ids must be dense node ids in [0, {num_nodes})")
-    E = _edges_by_src(edges, src_col, dst_col, None, num_parts,
-                      not directed, num_nodes)
-
-    def init_state(batch: pa.Table) -> pa.Table:
-        ids = batch["id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        dist = np.where(np.isin(ids, seeds), 0, -1).astype(np.int64)
-        return pa.table({
-            "gpart": pa.array((ids & mask).astype(np.int32)),
-            "node": pa.array(ids),
-            "dst": pa.array(np.full(ids.size, -1, dtype=np.int64)),
-            "w": pa.array(np.zeros(ids.size, dtype=np.int64)),
-            "dist": pa.array(dist),
-            "side": pa.array(np.zeros(ids.size, dtype=np.int8)),
-        })
-
-    state = (rd.range(num_nodes)
-             .map_batches(init_state, batch_format="pyarrow")
-             .repartition(num_parts).materialize())
-
-    def edge_pad(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "gpart": batch["gpart"], "node": batch["node"],
-            "dst": batch["dst"], "w": batch["w"],
-            "dist": pa.array(np.zeros(batch.num_rows, dtype=np.int64)),
-            "side": batch["side"],
-        })
-
-    def make_gather(hop: int):
-        def gather(group: pa.Table) -> pa.Table:
-            sel, vals = _attach_state(group, ["dist"])
-            cand = np.unique(sel["dst"][vals["dist"] == hop])
-            return pa.table({
-                "gpart": pa.array((cand & mask).astype(np.int32)),
-                "node": pa.array(cand, type=pa.int64()),
-                "dist": pa.array(np.zeros(cand.size, dtype=np.int64)),
-                "side": pa.array(np.ones(cand.size, dtype=np.int8)),
-            })
-        return gather
-
-    def state_flat(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "gpart": batch["gpart"], "node": batch["node"],
-            "dist": batch["dist"],
-            "side": pa.array(np.zeros(batch.num_rows, dtype=np.int8)),
-        })
-
-    def make_combine(hop: int):
-        def combine(group: pa.Table) -> pa.Table:
-            node = group["node"].to_numpy(zero_copy_only=False)
-            side = group["side"].to_numpy(zero_copy_only=False)
-            dist = group["dist"].to_numpy(zero_copy_only=False)
-            order = np.lexsort((side, node))
-            node_s, side_s, dist_s = node[order], side[order], dist[order]
-            first, _ = _zip_segments(node_s)
-            if not (side_s[first] == 0).all():
-                raise ValueError("candidate with no state row")
-            u = node_s[first]
-            d = dist_s[first].copy()
-            seg_of = np.cumsum(first) - 1
-            cand_segs = np.unique(seg_of[side_s == 1])
-            newly = cand_segs[d[cand_segs] < 0]
-            d[newly] = hop + 1
-            return pa.table({
-                "gpart": pa.array((u & mask).astype(np.int32)),
-                "node": pa.array(u, type=pa.int64()),
-                "dst": pa.array(np.full(u.size, -1, dtype=np.int64)),
-                "w": pa.array(np.zeros(u.size, dtype=np.int64)),
-                "dist": pa.array(d),
-                "nnew": pa.array(np.full(
-                    u.size, np.int64(newly.size), dtype=np.int64)),
-                "side": pa.array(np.zeros(u.size, dtype=np.int8)),
-            })
-        return combine
-
-    h = 0
-    while max_hops is None or h < max_hops:
-        cand = (state.union(E.map_batches(edge_pad,
-                                          batch_format="pyarrow"))
-                .groupby("gpart")
-                .map_groups(make_gather(h), batch_format="pyarrow"))
-        nxt = (state.map_batches(state_flat, batch_format="pyarrow")
-               .union(cand)
-               .groupby("gpart")
-               .map_groups(make_combine(h), batch_format="pyarrow")
-               .repartition(num_parts).materialize())
-        # per-group constant column → max = total new assignments > 0?
-        # (each group stamps its own count; any nonzero means progress)
-        n_new = nxt.max("nnew") or 0
-        # lazy projection over the materialized blocks — no second
-        # materialize per round
-        state = nxt.drop_columns(["nnew"])
-        if n_new == 0:
-            break
-        h += 1
-
-    def emit(batch: pa.Table) -> pa.Table:
-        keep = pc.greater_equal(batch["dist"], 0)
-        t = batch.filter(keep)
-        return pa.table({"node": t["node"], "hops": t["dist"]})
-
-    return state.map_batches(emit, batch_format="pyarrow").sort("node")
-
-
-def _sssp_dataset(edges: Dataset, num_nodes: int, *, sources,
-                  rounds: int, weight_col: str, directed: bool,
-                  src_col: str, dst_col: str, num_parts: int) -> Dataset:
-    """Dataset-state bounded-round Bellman-Ford — see
-    :func:`shortest_paths` (state_mode "dataset"). Integer tentative
-    distances live as (node, dist) rows (INT64_MAX = unreached); per
-    round one gather emits per-dst MIN relaxation partials and one
-    rebuild zips ``min(old, cand)``. Early exit via a per-group
-    changed-count column, exactly like broadcast mode's ``changed``."""
-    import ray.data as rd
-
-    INF = np.int64(np.iinfo(np.int64).max)
-    mask = num_parts - 1
-    seeds = np.unique(np.asarray(list(sources), dtype=np.int64))
-    if seeds.size == 0:
-        raise ValueError("shortest_paths needs at least one source")
-    if int(seeds.min()) < 0 or int(seeds.max()) >= num_nodes:
-        raise ValueError(
-            f"source ids must be dense node ids in [0, {num_nodes})")
-    E = _edges_by_src(edges, src_col, dst_col, weight_col, num_parts,
-                      not directed, num_nodes)
-    # one metadata-cheap aggregate over the already-materialized table —
-    # a second map+materialize would hold two full doubled-edge copies
-    wmin = E.min("w")
-    if wmin is not None and int(wmin) < 0:
-        raise ValueError("shortest_paths needs non-negative "
-                         "integer edge weights")
-
-    def init_state(batch: pa.Table) -> pa.Table:
-        ids = batch["id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        dist = np.where(np.isin(ids, seeds), 0, INF).astype(np.int64)
-        return pa.table({
-            "gpart": pa.array((ids & mask).astype(np.int32)),
-            "node": pa.array(ids),
-            "dst": pa.array(np.full(ids.size, -1, dtype=np.int64)),
-            "w": pa.array(np.zeros(ids.size, dtype=np.int64)),
-            "dist": pa.array(dist),
-            "side": pa.array(np.zeros(ids.size, dtype=np.int8)),
-        })
-
-    state = (rd.range(num_nodes)
-             .map_batches(init_state, batch_format="pyarrow")
-             .repartition(num_parts).materialize())
-
-    def edge_pad(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "gpart": batch["gpart"], "node": batch["node"],
-            "dst": batch["dst"], "w": batch["w"],
-            "dist": pa.array(np.zeros(batch.num_rows, dtype=np.int64)),
-            "side": batch["side"],
-        })
-
-    def gather(group: pa.Table) -> pa.Table:
-        sel, vals = _attach_state(group, ["dist"])
-        dv = vals["dist"]
-        reach = dv != INF
-        d = sel["dst"][reach]
-        cand = dv[reach] + sel["w"][reach]
-        order = np.argsort(d, kind="stable")
-        d, cand = d[order], cand[order]
-        first, starts = _zip_segments(d)
-        mins = np.minimum.reduceat(cand, starts) if d.size else cand
-        u = d[first]
-        return pa.table({
-            "gpart": pa.array((u & mask).astype(np.int32)),
-            "node": pa.array(u, type=pa.int64()),
-            "dist": pa.array(mins, type=pa.int64()),
-            "side": pa.array(np.ones(u.size, dtype=np.int8)),
-        })
-
-    def state_flat(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "gpart": batch["gpart"], "node": batch["node"],
-            "dist": batch["dist"],
-            "side": pa.array(np.zeros(batch.num_rows, dtype=np.int8)),
-        })
-
-    def combine(group: pa.Table) -> pa.Table:
-        node = group["node"].to_numpy(zero_copy_only=False)
-        side = group["side"].to_numpy(zero_copy_only=False)
-        dist = group["dist"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((side, node))
-        node_s, side_s, dist_s = node[order], side[order], dist[order]
-        first, starts = _zip_segments(node_s)
-        if not (side_s[first] == 0).all():
-            raise ValueError("relaxation for a node with no state row")
-        u = node_s[first]
-        # per-segment min over (state row, ≤ num_parts partial mins)
-        best = np.minimum.reduceat(dist_s, starts) if node_s.size \
-            else dist_s
-        old = dist_s[first]
-        changed = int((best < old).sum())
-        return pa.table({
-            "gpart": pa.array((u & mask).astype(np.int32)),
-            "node": pa.array(u, type=pa.int64()),
-            "dst": pa.array(np.full(u.size, -1, dtype=np.int64)),
-            "w": pa.array(np.zeros(u.size, dtype=np.int64)),
-            "dist": pa.array(best, type=pa.int64()),
-            "nchg": pa.array(np.full(u.size, np.int64(changed))),
-            "side": pa.array(np.zeros(u.size, dtype=np.int8)),
-        })
-
-    for _ in range(rounds):
-        relaxed = (state.union(E.map_batches(edge_pad,
-                                             batch_format="pyarrow"))
-                   .groupby("gpart")
-                   .map_groups(gather, batch_format="pyarrow"))
-        nxt = (state.map_batches(state_flat, batch_format="pyarrow")
-               .union(relaxed)
-               .groupby("gpart")
-               .map_groups(combine, batch_format="pyarrow")
-               .repartition(num_parts).materialize())
-        changed = nxt.max("nchg") or 0
-        state = nxt.drop_columns(["nchg"])  # lazy projection
-        if changed == 0:
-            break
-
-    def emit(batch: pa.Table) -> pa.Table:
-        keep = pc.not_equal(batch["dist"], pa.scalar(int(INF)))
-        t = batch.filter(keep)
-        return pa.table({"node": t["node"], "dist": t["dist"]})
-
-    return state.map_batches(emit, batch_format="pyarrow").sort("node")
-
-
-def _kcore_dataset(edges: Dataset, num_nodes: int, *, k: int,
-                   src_col: str, dst_col: str, max_rounds: int,
-                   num_parts: int) -> Dataset:
-    """Dataset-state k-core peel — see :func:`kcore` (state_mode
-    "dataset"). The alive bitmap lives as (node, alive) rows; per round
-    TWO segment-zip attaches decide both-endpoints-alive (src side,
-    then dst side — the doubled edge table makes one degree count per
-    surviving directed instance cover both endpoints), a per-node sum
-    folds degrees, and the rebuild zip kills nodes under *k*."""
-    import ray.data as rd
-
-    mask = num_parts - 1
-    # doubled edges: each input instance contributes one degree count
-    # at EACH endpoint, exactly the broadcast mode's concatenate
-    E = _edges_by_src(edges, src_col, dst_col, None, num_parts,
-                      True, num_nodes)
-
-    def init_state(batch: pa.Table) -> pa.Table:
-        ids = batch["id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "gpart": pa.array((ids & mask).astype(np.int32)),
-            "node": pa.array(ids),
-            "dst": pa.array(np.full(ids.size, -1, dtype=np.int64)),
-            "w": pa.array(np.zeros(ids.size, dtype=np.int64)),
-            "alive": pa.array(np.ones(ids.size, dtype=np.int64)),
-            "side": pa.array(np.zeros(ids.size, dtype=np.int8)),
-        })
-
-    state = (rd.range(num_nodes)
-             .map_batches(init_state, batch_format="pyarrow")
-             .repartition(num_parts).materialize())
-
-    def edge_pad(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "gpart": batch["gpart"], "node": batch["node"],
-            "dst": batch["dst"], "w": batch["w"],
-            "alive": pa.array(np.zeros(batch.num_rows, dtype=np.int64)),
-            "side": batch["side"],
-        })
-
-    def gather_src(group: pa.Table) -> pa.Table:
-        # keep surviving directed instances, re-key by dst for the
-        # dst-side alive check; carries src only as the degree target
-        sel, vals = _attach_state(group, ["alive"])
-        keep = vals["alive"] == 1
-        d = sel["dst"][keep]
-        s = sel["node"][keep]
-        return pa.table({
-            "gpart": pa.array((d & mask).astype(np.int32)),
-            "node": pa.array(d, type=pa.int64()),
-            "dst": pa.array(s, type=pa.int64()),
-            "w": pa.array(np.zeros(d.size, dtype=np.int64)),
-            "alive": pa.array(np.zeros(d.size, dtype=np.int64)),
-            "side": pa.array(np.ones(d.size, dtype=np.int8)),
-        })
-
-    def gather_dst(group: pa.Table) -> pa.Table:
-        # rows surviving BOTH checks: count degree at the dst node
-        # (doubled edges make this cover each endpoint once per
-        # original instance). Pad to the state_flat schema — unions
-        # must not rely on Ray's null-fill of mismatched schemas.
-        sel, vals = _attach_state(group, ["alive"])
-        keep = vals["alive"] == 1
-        node, cnt = np.unique(sel["node"][keep], return_counts=True)
-        return pa.table({
-            "gpart": pa.array((node & mask).astype(np.int32)),
-            "node": pa.array(node, type=pa.int64()),
-            "deg": pa.array(cnt.astype(np.int64)),
-            "side": pa.array(np.ones(node.size, dtype=np.int8)),
-            "alive": pa.array(np.zeros(node.size, dtype=np.int64)),
-        })
-
-    def state_flat(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "gpart": batch["gpart"], "node": batch["node"],
-            "deg": pa.array(np.zeros(batch.num_rows, dtype=np.int64)),
-            "side": pa.array(np.zeros(batch.num_rows, dtype=np.int8)),
-            "alive": batch["alive"],
-        })
-
-    def combine(group: pa.Table) -> pa.Table:
-        node = group["node"].to_numpy(zero_copy_only=False)
-        side = group["side"].to_numpy(zero_copy_only=False)
-        deg = group["deg"].to_numpy(zero_copy_only=False)
-        alive = group["alive"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((side, node))
-        node_s, side_s = node[order], side[order]
-        deg_s, alive_s = deg[order], alive[order]
-        first, starts = _zip_segments(node_s)
-        if not (side_s[first] == 0).all():
-            raise ValueError("degree row for a node with no state row")
-        u = node_s[first]
-        total = np.add.reduceat(deg_s, starts) if node_s.size else deg_s
-        was = alive_s[first] == 1
-        kill = was & (total < k)
-        nxt = (was & ~kill).astype(np.int64)
-        return pa.table({
-            "gpart": pa.array((u & mask).astype(np.int32)),
-            "node": pa.array(u, type=pa.int64()),
-            "dst": pa.array(np.full(u.size, -1, dtype=np.int64)),
-            "w": pa.array(np.zeros(u.size, dtype=np.int64)),
-            "alive": pa.array(nxt),
-            "nkill": pa.array(np.full(u.size, np.int64(kill.sum()))),
-            "side": pa.array(np.zeros(u.size, dtype=np.int8)),
-        })
-
-    kills = 0
-    while True:
-        survivors = (state.union(E.map_batches(edge_pad,
-                                               batch_format="pyarrow"))
-                     .groupby("gpart")
-                     .map_groups(gather_src, batch_format="pyarrow"))
-        degs = (state.union(survivors)
-                .groupby("gpart")
-                .map_groups(gather_dst, batch_format="pyarrow"))
-        nxt = (state.map_batches(state_flat, batch_format="pyarrow")
-               .union(degs)
-               .groupby("gpart")
-               .map_groups(combine, batch_format="pyarrow")
-               .repartition(num_parts).materialize())
-        n_kill = nxt.max("nkill") or 0
-        state = nxt.drop_columns(["nkill"])  # lazy projection
-        if n_kill == 0:
-            break
-        if kills == max_rounds:
-            raise RuntimeError(
-                f"kcore did not stabilize in {max_rounds} rounds — "
-                "raise max_rounds")
-        kills += 1
-
-    def emit(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.equal(batch["alive"], 1))
-        return pa.table({"node": t["node"]})
-
-    return state.map_batches(emit, batch_format="pyarrow").sort("node")
 
 
 # ---------------------------------------------------------------------------
