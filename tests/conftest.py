@@ -1,4 +1,20 @@
+import os
+
 import pytest
+
+
+def assert_same_postings(root_a: str, root_b: str) -> None:
+    """Assert two main-index roots hold the same postings table: every
+    bucket's segment rows, read as one hive-partitioned table, sorted by
+    (term, part), columns in name order. Byte-level: encoded postings,
+    df and block-max metadata all take part."""
+    import pyarrow.dataset as pads
+
+    key = [("term", "ascending"), ("part", "ascending")]
+    a, b = (pads.dataset(os.path.join(root, "postings"), partitioning="hive")
+            .to_table().sort_by(key) for root in (root_a, root_b))
+    assert a.select(sorted(a.column_names)).equals(
+        b.select(sorted(b.column_names)))
 
 
 @pytest.fixture(scope="session")

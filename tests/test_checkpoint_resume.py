@@ -4,6 +4,7 @@ completed shards and produce an index identical to an uninterrupted build."""
 import os
 
 import pytest
+from conftest import assert_same_postings
 
 from ts_type_filter_ray.pipelines.build import build_index
 from ts_type_filter_ray.pipelines.query import LocalSearcher
@@ -111,9 +112,9 @@ def test_reshard_invalidates_stale_partials(ray_session,
     shard_dirs = sorted(d for d in os.listdir(os.path.join(out, "partials"))
                         if d.startswith("shard="))
     assert shard_dirs == ["shard=0", "shard=1", "shard=2"]
-    assert idx.stats.num_documents == direct_index.stats.num_documents
-    assert idx.stats.num_postings == direct_index.stats.num_postings
-    assert idx.stats.total_doc_len == direct_index.stats.total_doc_len
+    # the 3-shard checkpointed build IS build_index's, byte for byte
+    assert idx.stats == direct_index.stats
+    assert_same_postings(idx.root, direct_index.root)
 
 
 def test_finalize_param_mismatch_raises(ray_session, small_code_corpus_dir,
@@ -166,3 +167,27 @@ def test_resume_rewrites_partials_from_an_older_spill_layout(
     s_ck, s_di = LocalSearcher(idx), LocalSearcher(direct_index)
     for q in QUERIES:
         assert s_ck.bm25(q, k=10) == s_di.bm25(q, k=10)
+
+
+def test_empty_corpus_raises_like_build_index(ray_session,
+                                              small_code_corpus_dir,
+                                              tmp_path):
+    """A corpus of one zero-row file: the checkpointed build fails with
+    the same error as ``build_index`` instead of committing a zero-doc
+    index whose avgdl divides by zero."""
+    import pyarrow.parquet as pq
+
+    first = sorted(f for f in os.listdir(small_code_corpus_dir)
+                   if f.endswith(".parquet"))[0]
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    pq.write_table(
+        pq.read_table(os.path.join(small_code_corpus_dir, first)).slice(0, 0),
+        str(corpus / "part-00000.parquet"))
+    msg = "cannot build an index over an empty corpus"
+    with pytest.raises(ValueError, match=msg):
+        build_index(read_corpus(str(corpus)), str(tmp_path / "direct"))
+    with pytest.raises(ValueError, match=msg):
+        build_index_checkpointed(str(corpus), str(tmp_path / "ckpt"),
+                                 num_shards=2)
+    assert not os.path.exists(str(tmp_path / "ckpt" / "stats.json"))

@@ -8,6 +8,7 @@ import glob
 import os
 
 import pytest
+from conftest import assert_same_postings
 
 from ts_type_filter_ray.pipelines.build import (BuiltIndex, build_index,
                                                 extend_index)
@@ -77,10 +78,9 @@ def test_compact_after_extend(corpora, tmp_path, ray_session):
     comp = compact_index(str(tmp_path / "cinc"))
     assert comp.stats.num_segments == 1
     assert comp.stats.impact_correction == 1.0
-    assert (comp.stats.num_documents, comp.stats.total_doc_len,
-            comp.stats.num_unique_terms, comp.stats.num_postings) == \
-           (full.stats.num_documents, full.stats.total_doc_len,
-            full.stats.num_unique_terms, full.stats.num_postings)
+    # byte level: the compacted index IS the fresh build's
+    assert comp.stats == full.stats
+    assert_same_postings(comp.root, full.root)
     # one file per bucket again
     pdir = os.path.join(str(tmp_path / "cinc"), "postings")
     for d in os.listdir(pdir):
@@ -88,6 +88,31 @@ def test_compact_after_extend(corpora, tmp_path, ray_session):
                  if f.endswith(".parquet") and not f.startswith((".", "_"))]
         assert files == ["merged.parquet"]
     _assert_equal_searchers(LocalSearcher(comp), LocalSearcher(full))
+
+
+def test_failed_commit_keeps_previous_stats(corpora, tmp_path, ray_session,
+                                            monkeypatch):
+    """stats.json is committed atomically: an extension whose commit
+    dies mid-write leaves the pre-extend stats whole and loadable."""
+    import json
+
+    a, b, _, _ = corpora
+    root = str(tmp_path / "torn")
+    before = build_index(read_corpus(a), root).stats
+    real_dump = json.dump
+
+    def torn_dump(obj, f, **kw):
+        if not (isinstance(obj, dict) and "num_documents" in obj):
+            return real_dump(obj, f, **kw)
+        f.write(json.dumps(obj, **kw)[:20])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", torn_dump)
+    with pytest.raises(OSError, match="disk full"):
+        extend_index(root, read_corpus(b))
+    monkeypatch.undo()
+    assert BuiltIndex.load(root).stats == before
+    assert sorted(os.listdir(root)) == ["docs", "postings", "stats.json"]
 
 
 def test_persisted_df_tracks_extend_and_compact(corpora, tmp_path,
@@ -162,14 +187,9 @@ def test_extend_leaving_most_buckets_untouched(corpora, tmp_path,
 
     compact_index(root)
     _assert_fsck_clean(root)
-    buckets = sorted(os.listdir(full.postings_dir))
-    assert sorted(os.listdir(os.path.join(root, "postings"))) == buckets
-    for d in buckets:
-        got, want = (
-            pq.read_table(os.path.join(r, "postings", d, "merged.parquet"))
-            .sort_by([("term", "ascending"), ("part", "ascending")])
-            for r in (root, full.root))
-        assert got.equals(want), d
+    assert sorted(os.listdir(os.path.join(root, "postings"))) == \
+        sorted(os.listdir(full.postings_dir))
+    assert_same_postings(root, full.root)
 
 
 def test_extend_honours_stopwords(corpora, tmp_path, ray_session):

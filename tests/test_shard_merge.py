@@ -5,8 +5,8 @@ scores)."""
 
 import os
 
-import pyarrow.dataset as pads
 import pytest
+from conftest import assert_same_postings
 
 from ts_type_filter_ray.pipelines.build import (build_index,
                                                 merge_index_roots)
@@ -43,13 +43,7 @@ def test_stats_identical(merged_and_fresh):
 
 def test_postings_tables_identical(merged_and_fresh):
     merged, fresh = merged_and_fresh
-    key = [("term", "ascending"), ("part", "ascending")]
-    a = (pads.dataset(merged.postings_dir, partitioning="hive")
-         .to_table().sort_by(key))
-    b = (pads.dataset(fresh.postings_dir, partitioning="hive")
-         .to_table().sort_by(key))
-    assert a.select(sorted(a.column_names)).equals(
-        b.select(sorted(b.column_names)))
+    assert_same_postings(merged.root, fresh.root)
 
 
 def test_match_and_bm25_identical(merged_and_fresh):

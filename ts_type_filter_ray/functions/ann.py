@@ -634,7 +634,9 @@ def train_centroids(ds: Dataset, n_centroids: int = 16, iters: int = 3,
             c = ray.get(c_ref)
             emb = _normalize(_embedding_matrix(batch))
             assign = np.argmax(emb @ c.T, axis=1)
-            sums = np.zeros_like(c)
+            # a canonical dtype, not zeros_like(c): the unpickled c's
+            # dtype instance sends np.add.at down its slow generic loop
+            sums = np.zeros(c.shape, dtype=c.dtype.type)
             np.add.at(sums, assign, emb)
             counts = np.bincount(assign, minlength=c.shape[0])
             k_c = c.shape[0]

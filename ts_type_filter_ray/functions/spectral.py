@@ -104,7 +104,10 @@ def _iterate(feats: Dataset, dim: int, iters: int, shift_bits: int,
         vref = ray.put(v)
 
         def partials(batch: pa.Table, _vref=vref) -> pa.Table:
-            vv = ray.get(_vref)
+            # re-declare the dtype: an unpickled vector carries a
+            # non-canonical int64 instance, which sends np.add.at down
+            # its slow generic loop (~15x slower)
+            vv = np.asarray(ray.get(_vref), dtype=np.int64)
             f, tf, d, new, seg = _doc_seg(batch)
             z = pa.array([], type=pa.int64())
             if len(f) == 0:
@@ -181,7 +184,7 @@ def doc_projections(ds: Dataset, dim_bits: int = 10, iters: int = 2,
     vref = ray.put(v)
 
     def proj(batch: pa.Table) -> pa.Table:
-        vv = ray.get(vref)
+        vv = np.asarray(ray.get(vref), dtype=np.int64)  # see partials
         f, tf, d, new, seg = _doc_seg(batch)
         z = pa.array([], type=pa.int64())
         if len(f) == 0:

@@ -8,8 +8,9 @@ Ray-Data-first shape (SURVEY.md §3.1 "Ray shape", §7):
                metadata rows ► partials/bucket=*/<task>.arrow
                (metadata rows land under bucket=-1)
   bucket=-1 ── bundled docs tasks ────────► docs/  (doc_id, sha256, …)
-               + (N, avgdl) reduce ───────► stats.json  (BM25 globals)
-  bucket>=0 ── one merge task per bucket ─► postings/bucket=* (+ counters)
+               + (N, avgdl) reduce
+  bucket>=0 ── one bucket wave ───────────► postings/bucket=* (+ counters)
+  counters ─── one atomic commit ─────────► stats.json  (BM25 globals)
 
 The per-slice partial aggregation inside ``TokenizePartials`` is the
 combiner that bounds the exchange; ``part = doc_id >> doc_part_bits``
@@ -22,21 +23,42 @@ Postings land partitioned by ``bucket = crc32(term) % num_term_buckets``
 so a query routes to its buckets' files only; per-term df stays
 derivable because each term lives in exactly one bucket.
 
+One write path serves all five writers of a main index. ``build_index``,
+``extend_index`` and the checkpointed ``finalize_index`` hand their
+spill to ``_write_generation`` (docs table → empty-corpus check → merge
+wave). ``compact_index`` and ``merge_index_roots`` decode existing
+segments back into partial rows (``_segment_rows``). Every bucket task
+runs in one priced wave (``_bucket_wave``) and ends in the one bucket
+writer (``_write_bucket``: merge → tmp → rename → marker → count).
+Every writer ends in the one atomic ``stats.json`` commit
+(``_commit``), so a failed write leaves the previous stats readable.
+
 Index root layout (Parquet + one JSON):
   root/docs/*.parquet     root/postings/bucket=*/merged.parquet
   root/stats.json         (root/partials/bucket=*/*.arrow during the build)
+  (extensions add docs/docs_g<g>_* and postings/bucket=*/segment_<g>.parquet)
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import shutil
+import time
 from dataclasses import dataclass
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+import ray
 from ray.data import Dataset
 
 from ..oracle.index import BM25_B, BM25_K1
-from ..stages.tokenizer import DEFAULT_DOC_PART_BITS, TokenizePartials
+from ..stages.tokenizer import (DEFAULT_DOC_PART_BITS, TokenizePartials,
+                                merge_bucket_table)
+from ..state import postings as plib
 from ..state.postings import term_bucket  # noqa: F401  (re-export for query)
 from ..state.spill import SpillDatasink, read_spill, spill_files
 
@@ -128,9 +150,6 @@ def build_index(corpus: Dataset, out_dir: str, *,
     semantics; see ``stages/tokenizer.py``).
     """
     os.makedirs(out_dir, exist_ok=True)
-
-    import shutil
-
     # ONE corpus pass — tokenize emits partial posting rows AND per-doc
     # metadata rows (sha256/doc_len, ``bucket = -1``) in the same stream,
     # spilled partitioned by term bucket. This replaces an
@@ -139,59 +158,16 @@ def build_index(corpus: Dataset, out_dir: str, *,
     # bucket directory it touched. The combined stream halves corpus
     # reads vs the r1 two-pass layout and keeps doc_len on the same
     # breaker as the postings.
-    import time
-    timings: dict[str, float] = {}
-
     partials_dir = os.path.join(out_dir, "partials")
     shutil.rmtree(partials_dir, ignore_errors=True)
     t0 = time.perf_counter()
     _tokenize_spill(corpus, partials_dir, doc_part_bits, num_term_buckets,
                     tokenize_batch_size, breaker, stemmer, stopwords)
-    timings["tokenize_spill"] = time.perf_counter() - t0
-
-    # docs table + global doc stats from the (small, content-free)
-    # metadata partition — raw Ray tasks over bundles of meta files (a
-    # Dataset read→map→write→read→aggregate here costs ~2 s of fixed
-    # job-launch overhead per build, dwarfing the actual work; the task
-    # count still scales with the corpus because meta files ∝ write tasks)
-    meta_dir = os.path.join(partials_dir, "bucket=-1")
-    if not os.path.isdir(meta_dir):
-        raise ValueError("cannot build an index over an empty corpus")
-    docs_dir = os.path.join(out_dir, "docs")
-    shutil.rmtree(docs_dir, ignore_errors=True)
-    t0 = time.perf_counter()
-    n_docs, total_dl = _write_docs_table(spill_files(meta_dir), docs_dir)
-    timings["docs_table"] = time.perf_counter() - t0
-    if n_docs == 0:
-        raise ValueError("cannot build an index over an empty corpus")
-    avgdl = total_dl / n_docs
-
-    # one merge task per bucket directory (shared-nothing: bucket
-    # partitioning makes each task independent; idempotent
-    # partition-named outputs allow re-runs to skip finished buckets).
-    shutil.rmtree(os.path.join(out_dir, "postings"), ignore_errors=True)
-    t0 = time.perf_counter()
-    n_terms, n_postings = merge_partial_buckets(
-        partials_dir, os.path.join(out_dir, "postings"), avgdl, k1, b)
-    timings["merge"] = time.perf_counter() - t0
-
-    if not keep_partials:
-        shutil.rmtree(partials_dir, ignore_errors=True)
-
-    stats = IndexStats(
-        num_documents=n_docs,
-        total_doc_len=total_dl,
-        num_unique_terms=n_terms,
-        num_postings=n_postings,
-        k1=k1, b=b,
-        doc_part_bits=doc_part_bits,
-        num_term_buckets=num_term_buckets,
-        num_segments=1,
-        min_merge_avgdl=avgdl,
-    )
-    with open(os.path.join(out_dir, "stats.json"), "w") as f:
-        json.dump(stats.__dict__, f, indent=1)
-    return BuiltIndex(root=out_dir, stats=stats, timings=timings)
+    timings = {"tokenize_spill": time.perf_counter() - t0}
+    return _write_generation(
+        out_dir, partials_dir, [os.path.join(partials_dir, "bucket=-1")],
+        _no_docs(k1, b, doc_part_bits, num_term_buckets), timings,
+        keep_partials=keep_partials)
 
 
 def extend_index(root: str, new_corpus: Dataset, *,
@@ -199,20 +175,25 @@ def extend_index(root: str, new_corpus: Dataset, *,
                  breaker=None, stemmer=None,
                  stopwords=None) -> BuiltIndex:
     """Incrementally add *new_corpus* to an existing index — LSM-style:
-    the old postings are untouched; the new documents tokenize + spill +
-    merge into ONE new segment file per bucket
-    (``postings/bucket=*/segment_<gen>.parquet``) and new docs shards
-    land beside the old ones. Tokenize and merge cost O(new docs) —
-    never a re-tokenize or rewrite of the existing index. One cost does
-    grow with the index: each touched bucket still reads its older
-    segments' ``(term, df)`` columns once, to refresh its
-    ``_df.parquet`` and count the bucket's vocabulary.
+    the old postings are untouched. The new documents tokenize + spill,
+    then run the build's own write path as generation ``g`` (the index's
+    current ``num_segments``): new docs shards ``docs/docs_g<g>_*`` land
+    beside the old ones, one bucket wave writes ONE new segment file per
+    touched bucket (``postings/bucket=*/segment_<g>.parquet``), and the
+    new stats.json is committed atomically last. Tokenize and merge cost
+    O(new docs) — never a re-tokenize or rewrite of the existing index.
+    One cost does grow with the index: each bucket still reads its older
+    segments' ``(term, df)`` columns once, to refresh its ``_df.parquet``
+    and count the bucket's vocabulary (buckets the new docs left
+    untouched are only counted).
 
     Correctness under extension (all EXACT):
-    - new docs get ids ``old_N + i`` (*new_corpus* must carry the dense
-      0-based ids the corpus readers assign), so segment doc sets are
-      disjoint and a doc contributes at most one posting per term —
-      per-doc BM25 accumulation is unchanged;
+    - new docs get ids ``next_doc_id + i`` (*new_corpus* must carry the
+      dense 0-based ids the corpus readers assign), so segment doc sets
+      are disjoint and a doc contributes at most one posting per term —
+      per-doc BM25 accumulation is unchanged; ``next_doc_id``, not
+      ``num_documents``: after a purge the id space has holes, and
+      reusing a live id would silently alias two documents;
     - query-time scores decode tf/dl from the segments and apply the
       CURRENT (N, avgdl, df) from stats.json, so scores equal a
       from-scratch build's bit-for-bit (pytest-pinned);
@@ -225,91 +206,25 @@ def extend_index(root: str, new_corpus: Dataset, *,
     Breaker/stemmer/stopwords (and k1/b) must match the original build —
     they are not serialized in the index, so the caller owns that
     contract (same as ``LocalSearcher``)."""
-    import shutil
-    import time
-
-    import pyarrow as pa
-
-    old = BuiltIndex.load(root)
-    st = old.stats
-    # next_doc_id, not num_documents: after a deletion+compaction the id
-    # space has holes and num_documents < the ceiling — reusing a live
-    # id would silently alias two documents
+    st = BuiltIndex.load(root).stats
     offset = st.next_doc_id
-    gen = st.num_segments  # segment_1 is the first extension
-    timings: dict[str, float] = {}
 
     def shift_ids(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pcc
         return batch.set_column(
             batch.schema.get_field_index("doc_id"), "doc_id",
-            pcc.add(batch["doc_id"], offset))
+            pc.add(batch["doc_id"], offset))
 
-    shifted = new_corpus.map_batches(shift_ids, batch_format="pyarrow")
-
-    partials_dir = os.path.join(root, f"partials_ext{gen}")
+    partials_dir = os.path.join(root, f"partials_ext{st.num_segments}")
     shutil.rmtree(partials_dir, ignore_errors=True)
     t0 = time.perf_counter()
-    _tokenize_spill(shifted, partials_dir, st.doc_part_bits,
-                    st.num_term_buckets, tokenize_batch_size,
-                    breaker, stemmer, stopwords)
-    timings["tokenize_spill"] = time.perf_counter() - t0
-
-    meta_dir = os.path.join(partials_dir, "bucket=-1")
-    if not os.path.isdir(meta_dir):
-        raise ValueError("cannot extend with an empty corpus")
-    t0 = time.perf_counter()
-    n_new, dl_new = _write_docs_table(spill_files(meta_dir),
-                                      os.path.join(root, "docs"),
-                                      prefix=f"docs_g{gen}")
-    timings["docs_table"] = time.perf_counter() - t0
-    if n_new == 0:
-        raise ValueError("cannot extend with an empty corpus")
-
-    n_docs = st.num_documents + n_new
-    total_dl = st.total_doc_len + dl_new
-    avgdl = total_dl / n_docs  # the post-extension global avgdl
-
-    t0 = time.perf_counter()
-    postings_dir = os.path.join(root, "postings")
-    # a PREVIOUS crashed attempt at this generation may have left
-    # per-bucket segment_<gen> files + _SUCCESS markers; their marker
-    # would short-circuit this run's merge and silently keep the old
-    # attempt's data (possibly from a different corpus) — clear them
-    _clear_generation(postings_dir, f"segment_{gen}")
-    n_terms, n_postings = merge_partial_buckets(
-        partials_dir, postings_dir, avgdl, st.k1, st.b,
-        file_name=f"segment_{gen}.parquet")
-    # each merge task counted its whole bucket (every segment); a bucket
-    # whose terms got no new postings is untouched by the merge wave but
-    # still owns vocabulary, so only those get a separate count
-    merged_dirs = {d for d in os.listdir(partials_dir)
-                   if d.startswith("bucket=") and d != "bucket=-1"}
-    untouched = [os.path.join(postings_dir, d)
-                 for d in sorted(os.listdir(postings_dir))
-                 if d.startswith("bucket=") and d not in merged_dirs]
-    u_terms, u_postings = _count_buckets(untouched)
-    n_terms += u_terms
-    n_postings += u_postings
-    timings["merge"] = time.perf_counter() - t0
-    shutil.rmtree(partials_dir, ignore_errors=True)
-
-    old_min = st.min_merge_avgdl if st.min_merge_avgdl else st.avgdl
-    stats = IndexStats(
-        num_documents=n_docs,
-        total_doc_len=total_dl,
-        num_unique_terms=n_terms,
-        num_postings=n_postings,
-        k1=st.k1, b=st.b,
-        doc_part_bits=st.doc_part_bits,
-        num_term_buckets=st.num_term_buckets,
-        num_segments=gen + 1,
-        min_merge_avgdl=min(old_min, avgdl),
-        id_ceiling=(offset + n_new if st.id_ceiling is not None else None),
-    )
-    with open(os.path.join(root, "stats.json"), "w") as f:
-        json.dump(stats.__dict__, f, indent=1)
-    return BuiltIndex(root=root, stats=stats, timings=timings)
+    _tokenize_spill(new_corpus.map_batches(shift_ids,
+                                           batch_format="pyarrow"),
+                    partials_dir, st.doc_part_bits, st.num_term_buckets,
+                    tokenize_batch_size, breaker, stemmer, stopwords)
+    timings = {"tokenize_spill": time.perf_counter() - t0}
+    return _write_generation(
+        root, partials_dir, [os.path.join(partials_dir, "bucket=-1")], st,
+        timings)
 
 
 def _tokenize_spill(corpus: Dataset, partials_dir: str, doc_part_bits: int,
@@ -347,18 +262,124 @@ def _tokenize_spill(corpus: Dataset, partials_dir: str, doc_part_bits: int,
     return partials
 
 
-def _clear_generation(postings_dir: str, stem: str) -> None:
-    """Remove every bucket's ``<stem>.parquet`` + ``_SUCCESS.<stem>``
-    (leftovers of a crashed extension attempt at the same generation —
-    their markers would make a retry with different data silently keep
-    the stale segments)."""
+# ------------------------------------------------------ the write path
+
+
+def _no_docs(k1: float, b: float, doc_part_bits: int,
+             num_term_buckets: int) -> IndexStats:
+    """The ``prior`` of a fresh build: no documents, no generation."""
+    return IndexStats(0, 0, 0, 0, k1, b, doc_part_bits, num_term_buckets,
+                      num_segments=0)
+
+
+def _write_generation(root: str, partials_dir: str, meta_dirs: list[str],
+                      prior: IndexStats, timings: dict, *,
+                      keep_partials: bool = False,
+                      expect: tuple[int, int] | None = None) -> BuiltIndex:
+    """The docs + postings phases of every spill-fed writer, then the
+    commit. Adds generation ``g = prior.num_segments`` to the index at
+    *root*: ``g = 0`` (``prior = _no_docs(...)``) replaces ``docs/`` and
+    ``postings/`` with ``docs_*`` shards and one ``merged.parquet`` per
+    bucket; ``g > 0`` (``prior`` = the index being extended) adds
+    ``docs_g<g>_*`` shards and one ``segment_<g>.parquet`` per touched
+    bucket.
+
+    The docs table is written from the doc-meta spill files under
+    *meta_dirs*; its reduce gives the new (docs, doc length), which
+    ``expect`` (a checkpoint manifest's sums), when given, must equal.
+    A spill without doc-meta rows raises before anything is removed. The
+    bucket wave then prices df and block-max metadata at the post-write
+    (N, avgdl).
+    Fills ``timings["docs_table"]`` and ``timings["merge"]``."""
+    gen = prior.num_segments
+    docs_dir = os.path.join(root, "docs")
+    postings_dir = os.path.join(root, "postings")
+    meta_files = [f for d in meta_dirs if os.path.isdir(d)
+                  for f in spill_files(d)]
+    empty = ("cannot extend with an empty corpus" if gen
+             else "cannot build an index over an empty corpus")
+    if not meta_files:
+        raise ValueError(empty)
+    if gen == 0:
+        shutil.rmtree(docs_dir, ignore_errors=True)
+        shutil.rmtree(postings_dir, ignore_errors=True)
+
+    # docs table + doc stats from the (small, content-free) metadata
+    # partition — raw Ray tasks over bundles of meta files (a Dataset
+    # read→map→write→read→aggregate here costs ~2 s of fixed job-launch
+    # overhead per build, dwarfing the actual work; the task count still
+    # scales with the corpus because meta files ∝ write tasks)
+    t0 = time.perf_counter()
+    n_new, dl_new = _write_docs_table(
+        meta_files, docs_dir, prefix=f"docs_g{gen}" if gen else "docs")
+    timings["docs_table"] = time.perf_counter() - t0
+    if n_new == 0:
+        raise ValueError(empty)
+    if expect is not None and (n_new, dl_new) != tuple(expect):
+        raise RuntimeError(
+            f"the docs table holds {n_new} docs of total length {dl_new}, "
+            f"the manifest records {tuple(expect)}; rebuild partials")
+    n_docs = prior.num_documents + n_new
+    total_dl = prior.total_doc_len + dl_new
+    avgdl = total_dl / n_docs
+
+    t0 = time.perf_counter()
+    file_name = f"segment_{gen}.parquet" if gen else "merged.parquet"
+    # a PREVIOUS crashed attempt at this generation may have left
+    # per-bucket segment_<gen> files + _SUCCESS markers; their marker
+    # would short-circuit this run's merge and silently keep the old
+    # attempt's data (possibly from a different corpus) — clear them
+    _clear_generation(postings_dir, file_name)
+    n_terms, n_postings = merge_partial_buckets(
+        partials_dir, postings_dir, avgdl, prior.k1, prior.b, file_name)
+    timings["merge"] = time.perf_counter() - t0
+    if not keep_partials:
+        shutil.rmtree(partials_dir, ignore_errors=True)
+
+    return _commit(root, dataclasses.replace(
+        prior, num_documents=n_docs, total_doc_len=total_dl,
+        num_unique_terms=n_terms, num_postings=n_postings,
+        num_segments=gen + 1,
+        min_merge_avgdl=(min(prior.min_merge_avgdl or prior.avgdl, avgdl)
+                         if gen else avgdl),
+        id_ceiling=(None if prior.id_ceiling is None
+                    else prior.id_ceiling + n_new)), timings)
+
+
+def _commit(root: str, stats: IndexStats,
+            timings: dict | None = None) -> BuiltIndex:
+    """Publish *stats* — the last step of every main-index writer — and
+    return the index handle."""
+    _write_stats(root, stats.__dict__)
+    return BuiltIndex(root=root, stats=stats, timings=timings)
+
+
+def _write_stats(root: str, fields: dict) -> None:
+    """Write ``root/stats.json`` atomically (tmp file + ``os.replace``):
+    a failure mid-write leaves the previous file whole. The one writer
+    of stats.json, for the main and the positional index."""
+    path = os.path.join(root, "stats.json")
+    tmp = os.path.join(root, f".stats.json.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as f:
+            json.dump(fields, f, indent=1)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _clear_generation(postings_dir: str, file_name: str) -> None:
+    """Remove every bucket's *file_name* + its marker (leftovers of a
+    crashed attempt at the same generation — their markers would make a
+    retry with different data silently keep the stale segments)."""
     if not os.path.isdir(postings_dir):
         return
     for d in os.listdir(postings_dir):
         if not d.startswith("bucket="):
             continue
-        for name in (f"{stem}.parquet", f"_SUCCESS.{stem}"):
-            p = os.path.join(postings_dir, d, name)
+        dest = os.path.join(postings_dir, d)
+        for p in (os.path.join(dest, file_name), _marker(dest, file_name)):
             if os.path.exists(p):
                 os.remove(p)
 
@@ -366,9 +387,6 @@ def _clear_generation(postings_dir: str, stem: str) -> None:
 def _docs_from_meta_files(srcs: list[str], dest: str) -> tuple[int, int]:
     """One docs-table shard: a bundle of meta spill files → one docs
     parquet file. Returns (n_docs, total_doc_len) for the reduce."""
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-
     from ..stages.tokenizer import meta_rows_to_docs
 
     docs = meta_rows_to_docs(read_spill(srcs))
@@ -385,8 +403,6 @@ def _write_docs_table(files: list[str], docs_dir: str,
     per-task driver dispatch is the non-scaling cost on one node.
     ``prefix`` namespaces extension generations' shards beside the
     originals."""
-    import ray
-
     os.makedirs(docs_dir, exist_ok=True)
     n_bundles = max(1, min(len(files), max_tasks))
     task = ray.remote(_docs_from_meta_files)
@@ -403,12 +419,226 @@ def _write_docs_table(files: list[str], docs_dir: str,
     return sum(r[0] for r in results), sum(r[1] for r in results)
 
 
+def merge_partial_buckets(partials_dir: str, postings_dir: str,
+                          avgdl: float, k1: float, b: float,
+                          file_name: str = "merged.parquet") -> tuple[int, int]:
+    """Merge every ``bucket=*`` partial directory into one postings file
+    *file_name* per bucket, in one bucket wave, and reduce their
+    (n_terms, n_postings) counters. Bucket dirs sit directly under
+    *partials_dir*, or one level down under ``shard=<s>/`` for the
+    checkpointed build. A bucket already under *postings_dir* that got
+    no new rows (one an extension left untouched) still owns vocabulary,
+    so it joins the wave to be counted."""
+    by_bucket: dict[int, list[str]] = {}
+
+    def scan(d: str) -> None:
+        for name in sorted(os.listdir(d)):
+            p = os.path.join(d, name)
+            if not os.path.isdir(p):
+                continue
+            if name.startswith("bucket="):
+                bucket = int(name.split("=", 1)[1])
+                if bucket >= 0:
+                    by_bucket.setdefault(bucket, []).append(p)
+            elif name.startswith("shard="):
+                scan(p)
+
+    scan(partials_dir)
+    os.makedirs(postings_dir, exist_ok=True)
+    for name in os.listdir(postings_dir):
+        if name.startswith("bucket="):
+            by_bucket.setdefault(int(name.split("=", 1)[1]), [])
+    return _bucket_wave(_merge_one_bucket, [
+        (dirs, os.path.join(postings_dir, f"bucket={bucket}"), avgdl, k1, b,
+         file_name)
+        for bucket, dirs in sorted(by_bucket.items())])
+
+
+def _bucket_wave(task, calls: list[tuple]) -> tuple[int, int]:
+    """Run ``task(*args)`` for every *args* in *calls* as one wave of
+    Ray tasks and sum their (distinct terms, postings) — global counts,
+    since every term lives in exactly one bucket. Raw ``ray.remote``
+    tasks by design: the data is already partitioned on disk, so this is
+    a shared-nothing per-partition job — a Dataset ``groupby`` would
+    re-shuffle data that is already placed (SURVEY.md §7)."""
+    # Bucket merges are memory-bandwidth-bound (read+flatten+sort), not
+    # CPU-bound: beyond ~16 concurrent streams per node the bus thrashes
+    # and the wave runs SLOWER (measured 5.1 s at 32 concurrent vs 2.3 s
+    # at 16 on a 32-CPU VM). Price each task so at most ~16 run per node.
+    total_cpus = int(ray.cluster_resources().get("CPU", 8))
+    run = ray.remote(num_cpus=max(1, total_cpus // 16))(_run_bucket_task)
+    results = ray.get([run.remote(task, *args) for args in calls])
+    return sum(r[0] for r in results), sum(r[1] for r in results)
+
+
+def _run_bucket_task(task, *args) -> tuple[int, int]:
+    # many bucket tasks run concurrently, each in its own worker process
+    # whose arrow pool defaults to ALL cores — 64 tasks x 32 threads
+    # thrashes the (slow) memory bus into inverse scaling; one thread per
+    # task is the right shape when the task level is already parallel
+    try:
+        pa.set_cpu_count(1)
+        pa.set_io_thread_count(1)
+    except Exception:
+        pass
+    return task(*args)
+
+
+def _marker(dest: str, file_name: str) -> str:
+    """The ``_SUCCESS`` marker of one postings file: ``_SUCCESS`` for
+    ``merged.parquet``, ``_SUCCESS.<stem>`` for an extension segment."""
+    if file_name == "merged.parquet":
+        return os.path.join(dest, "_SUCCESS")
+    return os.path.join(dest, f"_SUCCESS.{file_name.rsplit('.', 1)[0]}")
+
+
+def _write_bucket(dest: str, rows: pa.Table | None, avgdl: float,
+                  k1: float, b: float, file_name: str = "merged.parquet",
+                  *, tmp_name: str | None = None,
+                  replaces: list[str] | tuple = ()) -> tuple[int, int]:
+    """The one bucket writer: partial *rows* (``term, part, doc_ids, tfs,
+    dls``) → ``merge_bucket_table`` (df and block-max priced at *avgdl*)
+    → tmp file → ``os.replace`` to *file_name* → its marker → the
+    bucket's (distinct terms, Σ df) over every segment, the new one
+    counted from memory.
+
+    *replaces* are segment files the new file supersedes (compaction).
+    They are removed only once the tmp holds the whole merged bucket,
+    markers first (invalidate), so a crash leaves either the old
+    segments or a finishable tmp; ``rows=None`` finishes such a crashed
+    swap from its tmp."""
+    tmp = os.path.join(dest, tmp_name or f".{file_name}.tmp")
+    fresh = None
+    if rows is not None:
+        merged = merge_bucket_table(rows, avgdl, k1, b)
+        os.makedirs(dest, exist_ok=True)
+        pq.write_table(merged, tmp)
+        if replaces:
+            for f in os.listdir(dest):
+                if f.startswith("_SUCCESS"):
+                    os.remove(os.path.join(dest, f))
+            for f in replaces:
+                os.remove(f)
+        fresh = (file_name, merged)
+    os.replace(tmp, os.path.join(dest, file_name))
+    open(_marker(dest, file_name), "w").close()
+    return _count_one_bucket(dest, fresh)
+
+
+def _segment_files(bucket_dir: str) -> list[str]:
+    """The postings segment files of one bucket dir, in name order."""
+    return [os.path.join(bucket_dir, f) for f in sorted(os.listdir(bucket_dir))
+            if f.endswith(".parquet") and not f.startswith((".", "_"))]
+
+
+def _segment_rows(srcs: list[tuple[str, int]], doc_part_bits: int,
+                  tombs=None) -> pa.Table | None:
+    """Decode bucket segment files back into partial rows ``(term, part,
+    doc_ids, tfs, dls)`` — the inverse of the merge's encode, so
+    compaction and shard-merge rewrite a bucket through the ordinary
+    merge with no re-tokenize. One vectorized varint pass per column, no
+    per-row decode.
+
+    *srcs* = (bucket dir, doc-id offset) pairs; a dir may be missing (a
+    shard whose vocabulary never hashed into this bucket). *tombs*
+    (sorted int64) purges those ids from every posting; the offset then
+    shifts every id. Rows are cut again wherever ``part = doc_id >>
+    doc_part_bits`` changes — a shift that is not part-aligned moves the
+    part boundaries — and a row left with no posting disappears. Returns
+    None when no dir holds a segment file."""
+    partials = []
+    for src, offset in srcs:
+        files = _segment_files(src) if os.path.isdir(src) else []
+        if not files:
+            continue
+        seg = pa.concat_tables([pq.read_table(f) for f in files]
+                               ).combine_chunks()
+        ids, off = plib.decode_doc_ids_column(seg["doc_ids_enc"])
+        tfs, _ = plib.decode_varints_column(seg["tfs_enc"])
+        dls, _ = plib.decode_varints_column(seg["dls_enc"])
+        row = np.repeat(np.arange(seg.num_rows, dtype=np.int64),
+                        np.diff(off))
+        if tombs is not None:
+            keep = ~sorted_member_mask(tombs, ids)
+            ids, tfs, dls, row = ids[keep], tfs[keep], dls[keep], row[keep]
+        ids = ids + offset
+        parts = ids >> doc_part_bits
+        cut = np.ones(len(ids), dtype=bool)
+        cut[1:] = (row[1:] != row[:-1]) | (parts[1:] != parts[:-1])
+        starts = np.flatnonzero(cut)
+        new_off = pa.array(np.append(starts, len(ids)).astype(np.int64))
+        partials.append(pa.table({
+            "term": seg["term"].take(pa.array(row[starts])),
+            "part": pa.array(parts[starts].astype(np.int32)),
+            **{name: pa.LargeListArray.from_arrays(new_off, pa.array(v))
+               for name, v in (("doc_ids", ids), ("tfs", tfs),
+                               ("dls", dls))},
+        }))
+    return pa.concat_tables(partials) if partials else None
+
+
+def _merge_one_bucket(bucket_dirs: list[str], dest: str, avgdl: float,
+                      k1: float, b: float, file_name: str) -> tuple[int, int]:
+    """Bucket task of the spill-fed writers: this bucket's spill files
+    under *bucket_dirs* → one postings file *file_name* in *dest*. A
+    bucket with no new rows, or whose marker shows an earlier run
+    finished it, is only counted."""
+    if bucket_dirs and not os.path.exists(_marker(dest, file_name)):
+        rows = read_spill([f for d in bucket_dirs for f in spill_files(d)])
+        return _write_bucket(dest, rows, avgdl, k1, b, file_name)
+    return _count_one_bucket(dest)
+
+
+def _write_bucket_df(dest: str, term_df: pa.Table) -> pa.Table:
+    """Persist the bucket's GLOBAL per-term df as ``_df.parquet``
+    (term-ascending (term, df), df summed over every part and segment).
+    A term lives in exactly one bucket, so concatenating these files
+    yields the global df table — ``serve.SearchService`` reads them
+    column-pruned instead of rebuilding a vocab-sized Python dict from
+    the full postings metadata (VERDICT r3 #5). The ``_`` prefix keeps
+    the file invisible to the hive-partitioned postings dataset scan.
+    Atomic (unique tmp + rename) and idempotent — concurrent recounts of
+    the same bucket write identical bytes. Returns the written table."""
+    agg = (term_df.group_by("term").aggregate([("df", "sum")])
+           .rename_columns(["term", "df"]).sort_by("term"))
+    tmp = os.path.join(dest, f"._df.{os.getpid()}.tmp")
+    pq.write_table(agg, tmp)
+    os.replace(tmp, os.path.join(dest, "_df.parquet"))
+    return agg
+
+
+def _count_one_bucket(dest: str, fresh=None) -> tuple[int, int]:
+    """(distinct terms, Σ df) over every segment file of one bucket dir,
+    from the two tiny dictionary-encoded ``(term, df)`` columns. Also
+    refreshes the bucket's persisted ``_df.parquet`` from the same
+    columns (the counting sites — merge, extend, compact, shard-merge —
+    are exactly the moments the bucket's df table may have changed).
+
+    ``fresh = (file name, table)`` is a segment the caller has just
+    written: its columns come from that in-memory table, and only the
+    bucket's other segments are read."""
+    import pyarrow.dataset as pads
+    seg_files = _segment_files(dest)
+    parts = []
+    if fresh is not None:
+        name, tbl = fresh
+        seg_files.remove(os.path.join(dest, name))
+        parts.append(tbl.select(["term", "df"]))
+    if seg_files or fresh is None:
+        parts.append(pads.dataset(seg_files).to_table(columns=["term", "df"]))
+    agg = _write_bucket_df(dest, pa.concat_tables(parts))
+    return agg.num_rows, int(pc.sum(agg["df"]).as_py() or 0)
+
+
+# ---------------------------------------------- deletion and compaction
+
+
 def sorted_member_mask(sorted_ref, ids):
     """Boolean mask over *ids*: membership in the ASCENDING unique
     array *sorted_ref* — the one searchsorted/minimum idiom behind
     every tombstone check (LocalSearcher, TermRoutedService, the
-    forward index, the one-off query paths)."""
-    import numpy as np
+    forward index, the one-off query paths, compaction's purge, the
+    docs-shard purge and ``export_postings``)."""
     if sorted_ref.size == 0 or ids.size == 0:
         return np.zeros(ids.size, dtype=bool)
     pos = np.searchsorted(sorted_ref, ids)
@@ -420,9 +650,6 @@ def load_tombstones(root: str):
     """Sorted unique tombstoned doc_ids (empty array if none). Every
     tombstone generation file under ``root/tombstones/`` unions in —
     the set is bounded by deletions, the small side by contract."""
-    import numpy as np
-    import pyarrow.parquet as pq
-
     tdir = os.path.join(root, "tombstones")
     if not os.path.isdir(tdir):
         return np.empty(0, dtype=np.int64)
@@ -449,10 +676,6 @@ def delete_docs(root: str, doc_ids) -> BuiltIndex:
     stats.json — the main index and the positional index share the
     tombstone layout (both searchers load it). Returns the BuiltIndex
     for main-index roots, None for other index kinds."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
     if not os.path.exists(os.path.join(root, "stats.json")):
         raise FileNotFoundError(f"no index at {root!r} (missing stats.json)")
     try:
@@ -502,15 +725,9 @@ def _purge_one_docs_shard(path: str, tombs) -> tuple[int, int]:
     """Rewrite one docs shard without tombstoned rows (to ``.purge.tmp``
     beside it — the caller swaps after every bucket compacted). Returns
     the surviving (n_docs, total_doc_len)."""
-    import numpy as np
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-
     tbl = pq.read_table(path)
-    ids = tbl["doc_id"].to_numpy(zero_copy_only=False)
-    pos = np.searchsorted(tombs, ids)
-    dead = (pos < len(tombs)) & (tombs[np.minimum(pos, len(tombs) - 1)]
-                                 == ids)
+    dead = sorted_member_mask(tombs,
+                              tbl["doc_id"].to_numpy(zero_copy_only=False))
     if dead.any():
         tbl = tbl.filter(~dead)
     pq.write_table(tbl, path + ".purge.tmp")
@@ -518,107 +735,19 @@ def _purge_one_docs_shard(path: str, tombs) -> tuple[int, int]:
     return tbl.num_rows, int(dl)
 
 
-def _compact_one_bucket(dest: str, avgdl: float, k1: float,
-                        b: float, tombs=None) -> tuple[int, int]:
-    """Rewrite one bucket's segment files as a single fresh
-    ``merged.parquet`` (block-max metadata recomputed at the CURRENT
-    avgdl). Decode → partial-shaped rows → the ordinary bucket merge; no
-    re-tokenize. Two-phase commit: the compacted table lands in
-    ``.compact.tmp`` before any visible file is removed, so a crash at
-    any point leaves either the old segments or a finishable tmp —
-    re-running compacts/finishes idempotently.
-
-    ``tombs`` (sorted np.int64) PURGES those doc_ids from every posting
-    while rewriting — rows whose doc list empties are dropped, df and
-    block-max recompute from the survivors (delete_docs purge path)."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from ..stages.tokenizer import merge_bucket_table
-    from ..state import postings as plib
-
-    try:
-        pa.set_cpu_count(1)
-        pa.set_io_thread_count(1)
-    except Exception:
-        pass
-
-    tmp = os.path.join(dest, ".compact.tmp")
-    seg_files = [os.path.join(dest, f) for f in sorted(os.listdir(dest))
-                 if f.endswith(".parquet") and not f.startswith((".", "_"))]
-    if seg_files:
-        tbls = [pq.read_table(f) for f in seg_files]
-        rows = pa.concat_tables(tbls).combine_chunks()
-        # one vectorized varint pass over each whole column — no per-row
-        # decode (r3 open thread: batched segment decode)
-        ids_flat, ids_off = plib.decode_doc_ids_column(rows["doc_ids_enc"])
-        tfs_flat, tfs_off = plib.decode_varints_column(rows["tfs_enc"])
-        dls_flat, dls_off = plib.decode_varints_column(rows["dls_enc"])
-        if tombs is not None and len(tombs) and len(ids_flat):
-            # per-posting keep mask (tfs/dls share the doc segmenting),
-            # per-row surviving counts via reduceat over the row starts,
-            # rows with no survivors dropped below via the table filter
-            tombs = np.asarray(tombs, dtype=np.int64)
-            pos = np.searchsorted(tombs, ids_flat)
-            dead = ((pos < len(tombs))
-                    & (tombs[np.minimum(pos, len(tombs) - 1)] == ids_flat))
-            keep = ~dead
-            off = np.asarray(ids_off, dtype=np.int64)
-            new_counts = np.add.reduceat(keep.astype(np.int64), off[:-1])
-            new_counts[np.diff(off) == 0] = 0  # reduceat quirk guard
-            ids_flat = ids_flat[keep]
-            tfs_flat = tfs_flat[keep]
-            dls_flat = dls_flat[keep]
-            new_off = np.zeros(len(new_counts) + 1, dtype=np.int64)
-            np.cumsum(new_counts, out=new_off[1:])
-            ids_off = tfs_off = dls_off = new_off
-            alive_rows = new_counts > 0
-        else:
-            alive_rows = None
-        partial = pa.table({
-            "term": rows["term"],
-            "part": rows["part"],
-            "doc_ids": pa.LargeListArray.from_arrays(
-                pa.array(ids_off, type=pa.int64()),
-                pa.array(ids_flat, type=pa.int64())),
-            "tfs": pa.LargeListArray.from_arrays(
-                pa.array(tfs_off, type=pa.int64()),
-                pa.array(tfs_flat, type=pa.int64())),
-            "dls": pa.LargeListArray.from_arrays(
-                pa.array(dls_off, type=pa.int64()),
-                pa.array(dls_flat, type=pa.int64())),
-        })
-        if alive_rows is not None:
-            partial = partial.filter(pa.array(alive_rows))
-        if partial.num_rows:
-            merged = merge_bucket_table(partial, avgdl, k1, b)
-        else:
-            # every posting in this bucket was tombstoned
-            merged = pa.table({
-                "term": pa.array([], type=pa.string()),
-                "part": pa.array([], type=pa.int32()),
-                "df": pa.array([], type=pa.int64()),
-                "doc_ids_enc": pa.array([], type=pa.large_binary()),
-                "tfs_enc": pa.array([], type=pa.large_binary()),
-                "dls_enc": pa.array([], type=pa.large_binary()),
-                "max_impact": pa.array([], type=pa.float64()),
-            })
-        pq.write_table(merged, tmp)
-        # visible-state swap: markers first (invalidate), then segments
-        for f in sorted(os.listdir(dest)):
-            if f.startswith("_SUCCESS"):
-                os.remove(os.path.join(dest, f))
-        for f in seg_files:
-            os.remove(f)
-        fresh = ("merged.parquet", merged)
-    elif not os.path.exists(tmp):
-        raise FileNotFoundError(f"nothing to compact in {dest}")
-    else:
-        fresh = None  # finishing a crashed run: the tmp is read back
-    os.replace(tmp, os.path.join(dest, "merged.parquet"))
-    open(os.path.join(dest, "_SUCCESS"), "w").close()
-    return _count_one_bucket(dest, fresh)
+def _compact_one_bucket(dest: str, doc_part_bits: int, avgdl: float,
+                        k1: float, b: float, tombs=None) -> tuple[int, int]:
+    """Bucket task of compaction: every segment file of *dest* → one
+    fresh ``merged.parquet`` (block-max metadata recomputed at the
+    CURRENT avgdl), purging ``tombs`` (sorted int64) from every posting
+    on the way. Two-phase commit through ``.compact.tmp``: a crash at
+    any point leaves either the old segments or a finishable tmp, and a
+    bucket left with only the tmp is finished from it — re-running
+    compacts/finishes idempotently."""
+    segs = _segment_files(dest)
+    rows = _segment_rows([(dest, 0)], doc_part_bits, tombs) if segs else None
+    return _write_bucket(dest, rows, avgdl, k1, b, tmp_name=".compact.tmp",
+                         replaces=segs)
 
 
 def compact_index(root: str) -> BuiltIndex:
@@ -636,15 +765,9 @@ def compact_index(root: str) -> BuiltIndex:
     clear last, so a crash mid-purge re-runs to the same state. Doc ids
     are NEVER reassigned (holes are fine; ``IndexStats.id_ceiling``
     keeps the next extend collision-free)."""
-    import numpy as np
-    import ray
-
-    old = BuiltIndex.load(root)
-    st = old.stats
+    st = BuiltIndex.load(root).stats
     postings_dir = os.path.join(root, "postings")
     tombs = load_tombstones(root)
-    total_cpus = int(ray.cluster_resources().get("CPU", 8))
-    per_task_cpus = max(1, total_cpus // 16)
 
     if tombs.size:
         # surviving docs table first — its reduce is the post-purge
@@ -670,96 +793,25 @@ def compact_index(root: str) -> BuiltIndex:
         n_docs, total_dl, avgdl = (st.num_documents, st.total_doc_len,
                                    st.avgdl)
 
-    task = ray.remote(num_cpus=per_task_cpus)(_compact_one_bucket)
-    refs = [task.remote(os.path.join(postings_dir, d), avgdl, st.k1,
-                        st.b, tombs_ref)
-            for d in sorted(os.listdir(postings_dir))
-            if d.startswith("bucket=")]
-    results = ray.get(refs)
+    n_terms, n_postings = _bucket_wave(_compact_one_bucket, [
+        (os.path.join(postings_dir, d), st.doc_part_bits, avgdl, st.k1,
+         st.b, tombs_ref)
+        for d in sorted(os.listdir(postings_dir)) if d.startswith("bucket=")])
 
+    # visible-state swap in dependency order: docs shards, stats, then
+    # tombstones last — a crash before the tombstone removal re-runs the
+    # purge idempotently (purging already-purged postings is a no-op)
     if tombs.size:
-        # visible-state swap in dependency order: docs shards, stats,
-        # then tombstones last — a crash before the tombstone removal
-        # re-runs the purge idempotently (purging already-purged
-        # postings is a no-op)
         for p in shard_paths:
             os.replace(p + ".purge.tmp", p)
-        id_ceiling = st.next_doc_id
-    else:
-        id_ceiling = st.id_ceiling
-
-    stats = IndexStats(
-        num_documents=n_docs,
-        total_doc_len=total_dl,
-        num_unique_terms=sum(r[0] for r in results),
-        num_postings=sum(r[1] for r in results),
-        k1=st.k1, b=st.b,
-        doc_part_bits=st.doc_part_bits,
-        num_term_buckets=st.num_term_buckets,
-        num_segments=1,
+    out = _commit(root, dataclasses.replace(
+        st, num_documents=n_docs, total_doc_len=total_dl,
+        num_unique_terms=n_terms, num_postings=n_postings, num_segments=1,
         min_merge_avgdl=avgdl,
-        id_ceiling=id_ceiling,
-    )
-    with open(os.path.join(root, "stats.json"), "w") as f:
-        json.dump(stats.__dict__, f, indent=1)
+        id_ceiling=st.next_doc_id if tombs.size else st.id_ceiling))
     if tombs.size:
-        import shutil
         shutil.rmtree(os.path.join(root, "tombstones"), ignore_errors=True)
-    return BuiltIndex(root=root, stats=stats)
-
-
-def _write_bucket_df(dest: str, term_df: "pa.Table") -> "pa.Table":
-    """Persist the bucket's GLOBAL per-term df as ``_df.parquet``
-    (term-ascending (term, df), df summed over every part and segment).
-    A term lives in exactly one bucket, so concatenating these files
-    yields the global df table — ``serve.SearchService`` reads them
-    column-pruned instead of rebuilding a vocab-sized Python dict from
-    the full postings metadata (VERDICT r3 #5). The ``_`` prefix keeps
-    the file invisible to the hive-partitioned postings dataset scan.
-    Atomic (unique tmp + rename) and idempotent — concurrent recounts of
-    the same bucket write identical bytes. Returns the written table."""
-    import pyarrow.parquet as pq
-    agg = (term_df.group_by("term").aggregate([("df", "sum")])
-           .rename_columns(["term", "df"]).sort_by("term"))
-    tmp = os.path.join(dest, f"._df.{os.getpid()}.tmp")
-    pq.write_table(agg, tmp)
-    os.replace(tmp, os.path.join(dest, "_df.parquet"))
-    return agg
-
-
-def _count_one_bucket(dest: str, fresh=None) -> tuple[int, int]:
-    """(distinct terms, Σ df) over every segment file of one bucket dir,
-    from the two tiny dictionary-encoded ``(term, df)`` columns. Also
-    refreshes the bucket's persisted ``_df.parquet`` from the same
-    columns (the counting sites — merge, extend, compact, recount — are
-    exactly the moments the bucket's df table may have changed).
-
-    ``fresh = (file name, table)`` is a segment the caller has just
-    written: its columns come from that in-memory table, and only the
-    bucket's other segments are read."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pads
-    seg_files = [os.path.join(dest, f) for f in sorted(os.listdir(dest))
-                 if f.endswith(".parquet") and not f.startswith((".", "_"))]
-    parts = []
-    if fresh is not None:
-        name, tbl = fresh
-        seg_files.remove(os.path.join(dest, name))
-        parts.append(tbl.select(["term", "df"]))
-    if seg_files or fresh is None:
-        parts.append(pads.dataset(seg_files).to_table(columns=["term", "df"]))
-    agg = _write_bucket_df(dest, pa.concat_tables(parts))
-    return agg.num_rows, int(pc.sum(agg["df"]).as_py() or 0)
-
-
-def _count_buckets(bucket_dirs: list[str]) -> tuple[int, int]:
-    """Parallel per-bucket (terms, postings) count; sums are global
-    because every term lives in exactly one bucket."""
-    import ray
-    task = ray.remote(_count_one_bucket)
-    results = ray.get([task.remote(d) for d in bucket_dirs])
-    return sum(r[0] for r in results), sum(r[1] for r in results)
+    return out
 
 
 def maybe_compact(root: str, *, max_segments: int = 4,
@@ -787,102 +839,11 @@ def maybe_compact(root: str, *, max_segments: int = 4,
     return False, idx
 
 
-def _merge_one_bucket(bucket_dirs: list[str], out_dir: str, bucket: int,
-                      avgdl: float, k1: float, b: float,
-                      file_name: str = "merged.parquet") -> tuple[int, int]:
-    """Merge one bucket's partial files into one postings segment file.
-    Returns (distinct terms, total postings) over the WHOLE bucket
-    directory — all segments, so extensions report union vocabulary and
-    total postings (a term lives in exactly one bucket, so per-bucket
-    distinct counts sum globally). Idempotent: writes to a temp file and
-    renames; a per-segment ``_SUCCESS.<file>`` marker short-circuits
-    re-runs."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from ..stages.tokenizer import merge_bucket_table
-
-    # many merge tasks run concurrently, each in its own worker process
-    # whose arrow pool defaults to ALL cores — 64 tasks x 32 threads
-    # thrashes the (slow) memory bus into inverse scaling; one thread per
-    # task is the right shape when the task level is already parallel
-    try:
-        pa.set_cpu_count(1)
-        pa.set_io_thread_count(1)
-    except Exception:
-        pass
-
-    dest = os.path.join(out_dir, f"bucket={bucket}")
-    stem = file_name.rsplit(".", 1)[0]
-    marker = os.path.join(dest, ("_SUCCESS" if file_name == "merged.parquet"
-                                 else f"_SUCCESS.{stem}"))
-    fresh = None
-    if not os.path.exists(marker):
-        part_tbl = read_spill([f for d in bucket_dirs
-                               for f in spill_files(d)])
-        merged = merge_bucket_table(part_tbl, avgdl, k1, b)
-        os.makedirs(dest, exist_ok=True)
-        tmp = os.path.join(dest, f".{file_name}.tmp")
-        pq.write_table(merged, tmp)
-        os.replace(tmp, os.path.join(dest, file_name))
-        open(marker, "w").close()
-        fresh = (file_name, merged)
-    # persisted global df (VERDICT r3 #5); the segment just written is
-    # counted from memory, so only older segments are read
-    return _count_one_bucket(dest, fresh)
-
-
-def merge_partial_buckets(partials_dir: str, postings_dir: str,
-                          avgdl: float, k1: float, b: float,
-                          file_name: str = "merged.parquet") -> tuple[int, int]:
-    """Launch one Ray task per ``bucket=*`` partial directory and reduce
-    their (n_terms, n_postings) counters. Raw ``ray.remote`` tasks by
-    design: the data is already partitioned on disk, so this is a
-    shared-nothing per-partition job — a Dataset ``groupby`` here would
-    re-shuffle data that is already placed (SURVEY.md §7; every term
-    lives in exactly one bucket, so per-bucket distinct-term counts sum
-    to the global count)."""
-    import ray
-
-    os.makedirs(postings_dir, exist_ok=True)
-    # discover bucket=<i> dirs (directly under partials_dir, or nested
-    # one level down under shard=<s>/ for the checkpointed build)
-    by_bucket: dict[int, list[str]] = {}
-
-    def scan(d: str) -> None:
-        for name in sorted(os.listdir(d)):
-            p = os.path.join(d, name)
-            if not os.path.isdir(p):
-                continue
-            if name.startswith("bucket="):
-                bucket = int(name.split("=", 1)[1])
-                if bucket >= 0:
-                    by_bucket.setdefault(bucket, []).append(p)
-            elif name.startswith("shard="):
-                scan(p)
-
-    scan(partials_dir)
-    # Bucket merges are memory-bandwidth-bound (read+flatten+sort), not
-    # CPU-bound: beyond ~16 concurrent streams per node the bus thrashes
-    # and the wave runs SLOWER (measured 5.1 s at 32 concurrent vs 2.3 s
-    # at 16 on this VM). Price each task so at most ~16 run per node.
-    total_cpus = int(ray.cluster_resources().get("CPU", 8))
-    per_task_cpus = max(1, total_cpus // 16)
-    merge_task = ray.remote(num_cpus=per_task_cpus)(_merge_one_bucket)
-    refs = [merge_task.remote(dirs, postings_dir, bucket, avgdl, k1, b,
-                              file_name)
-            for bucket, dirs in sorted(by_bucket.items())]
-    results = ray.get(refs)
-    n_terms = sum(r[0] for r in results)
-    n_postings = sum(r[1] for r in results)
-    return n_terms, n_postings
+# --------------------------------------------------------- shard merge
 
 
 def _shift_docs_shard(src: str, dest: str, offset: int) -> None:
     """Copy one docs shard with ``doc_id += offset`` (shard-merge path)."""
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-
     tbl = pq.read_table(src)
     i = tbl.schema.get_field_index("doc_id")
     tbl = tbl.set_column(i, "doc_id", pc.add(tbl["doc_id"], offset))
@@ -890,76 +851,14 @@ def _shift_docs_shard(src: str, dest: str, offset: int) -> None:
 
 
 def _merge_shards_one_bucket(srcs: list[tuple[str, int]], dest: str,
-                             doc_part_bits: int,
-                             avgdl: float, k1: float,
+                             doc_part_bits: int, avgdl: float, k1: float,
                              b: float) -> tuple[int, int]:
-    """Merge one term bucket across shard indexes: decode every shard's
-    segment rows, shift doc ids by the shard's offset, RE-SPLIT rows at
-    the shifted part boundaries (part = doc_id >> doc_part_bits changes
-    under a shift that is not part-aligned), then one ordinary
-    ``merge_bucket_table`` pass prices df/block-max at the merged avgdl.
-    *srcs* = (shard bucket dir, id offset); dirs may be missing (a shard
-    whose vocabulary never hashed into this bucket)."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from ..stages.tokenizer import merge_bucket_table
-    from ..state import postings as plib
-
-    try:
-        pa.set_cpu_count(1)
-        pa.set_io_thread_count(1)
-    except Exception:
-        pass
-
-    partials = []
-    for src, offset in srcs:
-        if not os.path.isdir(src):
-            continue
-        seg_files = [os.path.join(src, f) for f in sorted(os.listdir(src))
-                     if f.endswith(".parquet")
-                     and not f.startswith((".", "_"))]
-        if not seg_files:
-            continue
-        rows = pa.concat_tables(
-            [pq.read_table(f) for f in seg_files]).combine_chunks()
-        ids_flat, off = plib.decode_doc_ids_column(rows["doc_ids_enc"])
-        tfs_flat, _ = plib.decode_varints_column(rows["tfs_enc"])
-        dls_flat, _ = plib.decode_varints_column(rows["dls_enc"])
-        if len(ids_flat) == 0:
-            continue
-        off = np.asarray(off, dtype=np.int64)
-        ids_flat = ids_flat + offset
-        parts_flat = (ids_flat >> doc_part_bits).astype(np.int64)
-        row_of = np.repeat(np.arange(rows.num_rows, dtype=np.int64),
-                           np.diff(off))
-        change = np.ones(len(ids_flat), dtype=bool)
-        change[1:] = ((row_of[1:] != row_of[:-1])
-                      | (parts_flat[1:] != parts_flat[:-1]))
-        starts = np.flatnonzero(change)
-        new_off = np.append(starts, len(ids_flat)).astype(np.int64)
-        parent = pa.array(row_of[starts])
-        partials.append(pa.table({
-            "term": rows["term"].take(parent),
-            "part": pa.array(parts_flat[starts].astype(np.int32)),
-            "doc_ids": pa.LargeListArray.from_arrays(
-                pa.array(new_off), pa.array(ids_flat)),
-            "tfs": pa.LargeListArray.from_arrays(
-                pa.array(new_off), pa.array(tfs_flat)),
-            "dls": pa.LargeListArray.from_arrays(
-                pa.array(new_off), pa.array(dls_flat)),
-        }))
-    os.makedirs(dest, exist_ok=True)
-    if partials:
-        merged = merge_bucket_table(
-            pa.concat_tables(partials).combine_chunks(), avgdl, k1, b)
-        tmp = os.path.join(dest, ".shardmerge.tmp")
-        pq.write_table(merged, tmp)
-        os.replace(tmp, os.path.join(dest, "merged.parquet"))
-        open(os.path.join(dest, "_SUCCESS"), "w").close()
-        return _count_one_bucket(dest, ("merged.parquet", merged))
-    return 0, 0
+    """Bucket task of the shard merge: every shard's segment rows of one
+    term bucket, ids shifted by the shard's offset and re-split at the
+    shifted part boundaries (*srcs* = (shard bucket dir, id offset)),
+    → one ``merged.parquet`` priced at the merged avgdl."""
+    rows = _segment_rows(srcs, doc_part_bits)
+    return (0, 0) if rows is None else _write_bucket(dest, rows, avgdl, k1, b)
 
 
 def merge_index_roots(roots: list[str], out_dir: str) -> BuiltIndex:
@@ -977,9 +876,6 @@ def merge_index_roots(roots: list[str], out_dir: str) -> BuiltIndex:
     carry no tombstones (run :func:`compact_index` first); the same
     breaker/stemmer must have built every shard (not serialized — the
     caller owns that, same as ``extend_index``)."""
-    import numpy as np
-    import ray
-
     if not roots:
         raise ValueError("merge_index_roots needs at least one shard")
     shards = [BuiltIndex.load(r) for r in roots]
@@ -1005,7 +901,6 @@ def merge_index_roots(roots: list[str], out_dir: str) -> BuiltIndex:
     total_dl = sum(s.stats.total_doc_len for s in shards)
     avgdl = total_dl / n_docs
 
-    os.makedirs(out_dir, exist_ok=True)
     docs_dir = os.path.join(out_dir, "docs")
     os.makedirs(docs_dir, exist_ok=True)
     shift_task = ray.remote(_shift_docs_shard)
@@ -1017,39 +912,23 @@ def merge_index_roots(roots: list[str], out_dir: str) -> BuiltIndex:
                     os.path.join(s.docs_dir, f),
                     os.path.join(docs_dir, f"docs_s{k:03d}_{f}"), offset))
 
-    postings_dir = os.path.join(out_dir, "postings")
-    buckets = sorted({d for s in shards
-                      for d in os.listdir(os.path.join(s.root, "postings"))
+    buckets = sorted({d for s in shards for d in os.listdir(s.postings_dir)
                       if d.startswith("bucket=")})
-    total_cpus = int(ray.cluster_resources().get("CPU", 8))
-    per_task_cpus = max(1, total_cpus // 16)
-    task = ray.remote(num_cpus=per_task_cpus)(_merge_shards_one_bucket)
-    refs = [task.remote(
-        [(os.path.join(s.root, "postings", d), off)
-         for s, off in zip(shards, offsets)],
-        os.path.join(postings_dir, d), first.doc_part_bits, avgdl,
-        first.k1, first.b)
-        for d in buckets]
-    results = ray.get(refs)
+    n_terms, n_postings = _bucket_wave(_merge_shards_one_bucket, [
+        ([(os.path.join(s.postings_dir, d), off)
+          for s, off in zip(shards, offsets)],
+         os.path.join(out_dir, "postings", d), first.doc_part_bits, avgdl,
+         first.k1, first.b)
+        for d in buckets])
     ray.get(doc_refs)
 
     dense = all(s.stats.id_ceiling is None for s in shards)
-    stats = IndexStats(
-        num_documents=n_docs,
-        total_doc_len=total_dl,
-        num_unique_terms=sum(r[0] for r in results),
-        num_postings=sum(r[1] for r in results),
-        k1=first.k1, b=first.b,
-        doc_part_bits=first.doc_part_bits,
-        num_term_buckets=first.num_term_buckets,
-        num_segments=1,
+    return _commit(out_dir, dataclasses.replace(
+        first, num_documents=n_docs, total_doc_len=total_dl,
+        num_unique_terms=n_terms, num_postings=n_postings, num_segments=1,
         min_merge_avgdl=avgdl,
-        id_ceiling=None if dense
-        else offsets[-1] + shards[-1].stats.next_doc_id,
-    )
-    with open(os.path.join(out_dir, "stats.json"), "w") as f:
-        json.dump(stats.__dict__, f, indent=1)
-    return BuiltIndex(root=out_dir, stats=stats)
+        id_ceiling=(None if dense
+                    else offsets[-1] + shards[-1].stats.next_doc_id)))
 
 
 def export_postings(index_root: str):
@@ -1062,17 +941,12 @@ def export_postings(index_root: str):
     docs are dropped so the export equals the index's query-visible
     contents. Output order is unspecified (it's a set of triples);
     ``.write_parquet`` it for a resumable on-disk dump."""
-    import numpy as np
     import ray.data as rd
 
     index = BuiltIndex.load(index_root)
     tomb = load_tombstones(index_root)
 
     def explode(batch: "pa.Table") -> "pa.Table":
-        import numpy as np
-        import pyarrow as pa
-
-        from ..state import postings as plib
         ids_flat, off = plib.decode_doc_ids_column(batch["doc_ids_enc"])
         tfs_flat, _ = plib.decode_varints_column(batch["tfs_enc"])
         if len(ids_flat) == 0:
@@ -1087,13 +961,9 @@ def export_postings(index_root: str):
         ids_flat = np.asarray(ids_flat, dtype=np.int64)
         tfs_flat = np.asarray(tfs_flat, dtype=np.int64)
         if tomb.size:
-            pos = np.searchsorted(tomb, ids_flat)
-            dead = ((pos < tomb.size)
-                    & (tomb[np.minimum(pos, tomb.size - 1)] == ids_flat))
-            if dead.any():
-                keep = ~dead
-                ids_flat, tfs_flat = ids_flat[keep], tfs_flat[keep]
-                parent = parent[keep]
+            keep = ~sorted_member_mask(tomb, ids_flat)
+            ids_flat, tfs_flat = ids_flat[keep], tfs_flat[keep]
+            parent = parent[keep]
         return pa.table({
             "term": batch["term"].take(pa.array(parent)),
             "doc_id": pa.array(ids_flat, type=pa.int64()),

@@ -213,9 +213,9 @@ class PositionalIndex:
             return cls(root=root, **json.load(f))
 
     def _dump(self) -> None:
-        meta = {k: v for k, v in self.__dict__.items() if k != "root"}
-        with open(os.path.join(self.root, "stats.json"), "w") as f:
-            json.dump(meta, f, indent=1)
+        from .build import _write_stats
+        _write_stats(self.root, {k: v for k, v in self.__dict__.items()
+                                 if k != "root"})
 
 
 def _merge_one_positional_bucket(bucket_dir: str | None, out_dir: str,

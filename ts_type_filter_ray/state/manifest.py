@@ -12,10 +12,14 @@ invariant aggregated order-independently.
 
 Resume = re-run the same call: shards whose manifest entry is ``done``
 AND whose lineage fingerprint still matches are skipped (zero
-recomputation); only the cheap finalize (the build's docs table and
-per-bucket merge over every shard's partials, ≪ tokenize cost) re-runs.
-Partials written under different build params — or in an older spill
-layout — are wiped and re-tokenized.
+recomputation); only the cheap finalize re-runs. Finalize is not a
+driver of its own: it hands every shard's partials to the build's write
+path (``pipelines.build._write_generation`` — docs table, empty-corpus
+check, one bucket wave, one atomic stats.json commit; ≪ tokenize cost),
+so a checkpointed build writes the same bytes as ``build_index`` and
+fails the same way on an empty corpus. Partials written under different
+build params — or in an older spill layout — are wiped and
+re-tokenized.
 """
 
 from __future__ import annotations
@@ -158,12 +162,15 @@ def build_partials(corpus_dir: str, out_dir: str, *, num_shards: int = 4,
 def finalize_index(out_dir: str, *, num_term_buckets: int = 32,
                    doc_part_bits: int = DEFAULT_DOC_PART_BITS,
                    k1: float | None = None, b: float | None = None):
-    """Merge all shard partials into the final index layout (same layout
-    as :func:`..pipelines.build.build_index`). Small relative to tokenize;
+    """Merge all shard partials into the final index through the build's
+    own write path (``pipelines.build._write_generation``: docs table →
+    empty-corpus check → bucket wave → atomic stats commit), so the
+    result is the index :func:`..pipelines.build.build_index` writes.
+    (N, total_doc_len) come from the docs-table reduce, as in the build,
+    and must equal the manifest's sums. Small relative to tokenize;
     re-runs wholesale on resume."""
     from ..oracle.index import BM25_B, BM25_K1
-    from ..pipelines.build import (BuiltIndex, IndexStats, _write_docs_table,
-                                   merge_partial_buckets)
+    from ..pipelines.build import _no_docs, _write_generation
 
     k1 = BM25_K1 if k1 is None else k1
     b = BM25_B if b is None else b
@@ -178,12 +185,7 @@ def finalize_index(out_dir: str, *, num_term_buckets: int = 32,
             f"finalize params {num_term_buckets=}/{doc_part_bits=} do not "
             f"match the partials' build params {params}; rebuild partials")
 
-    n_docs = sum(s["num_docs"] for s in shards)
-    total_dl = sum(s["total_doc_len"] for s in shards)
-    avgdl = (total_dl / n_docs) if n_docs else 0.0
-
     partials_dir = os.path.join(out_dir, "partials")
-
     # only merge shard dirs the manifest vouches for; delete anything else
     # on disk (stale leftovers would duplicate postings)
     valid = {f"shard={sid}" for sid in manifest["shards"]}
@@ -191,30 +193,16 @@ def finalize_index(out_dir: str, *, num_term_buckets: int = 32,
         if d.startswith("shard=") and d not in valid:
             shutil.rmtree(os.path.join(partials_dir, d), ignore_errors=True)
 
-    # docs table from the doc-meta rows (bucket=-1 dirs), in shard order
+    # docs table from the doc-meta rows (bucket=-1 dirs), in shard order;
+    # postings from the shard=*/bucket=<i> spill
     meta_dirs = [os.path.join(partials_dir, s, "bucket=-1")
                  for s in sorted(valid, key=lambda d: int(d.split("=")[1]))]
-    meta_files = [f for d in meta_dirs if os.path.isdir(d)
-                  for f in spill_files(d)]
-    docs_dir = os.path.join(out_dir, "docs")
-    shutil.rmtree(docs_dir, ignore_errors=True)
-    _write_docs_table(meta_files, docs_dir)
-
-    # postings: per-bucket merge tasks over the shard=*/bucket=<i> spill
-    post_dir = os.path.join(out_dir, "postings")
-    shutil.rmtree(post_dir, ignore_errors=True)
-    n_terms, n_postings = merge_partial_buckets(
-        partials_dir, post_dir, avgdl, k1, b)
-
-    stats = IndexStats(
-        num_documents=n_docs, total_doc_len=total_dl,
-        num_unique_terms=n_terms,
-        num_postings=n_postings,
-        k1=k1, b=b, doc_part_bits=doc_part_bits,
-        num_term_buckets=num_term_buckets, min_merge_avgdl=avgdl)
-    with open(os.path.join(out_dir, "stats.json"), "w") as f:
-        json.dump(stats.__dict__, f, indent=1)
-    return BuiltIndex(root=out_dir, stats=stats)
+    return _write_generation(
+        out_dir, partials_dir, meta_dirs,
+        _no_docs(k1, b, doc_part_bits, num_term_buckets), {},
+        keep_partials=True,
+        expect=(sum(s["num_docs"] for s in shards),
+                sum(s["total_doc_len"] for s in shards)))
 
 
 def build_index_checkpointed(corpus_dir: str, out_dir: str, *,
