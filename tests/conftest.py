@@ -4,10 +4,11 @@ import pytest
 
 
 def assert_same_postings(root_a: str, root_b: str) -> None:
-    """Assert two main-index roots hold the same postings table: every
-    bucket's segment rows, read as one hive-partitioned table, sorted by
-    (term, part), columns in name order. Byte-level: encoded postings,
-    df and block-max metadata all take part."""
+    """Assert two index roots of the same kind (main or positional) hold
+    the same postings table: every bucket's segment rows, read as one
+    hive-partitioned table, sorted by (term, part), columns in name
+    order. Byte-level: encoded postings, df and, for the main index,
+    block-max metadata all take part."""
     import pyarrow.dataset as pads
 
     key = [("term", "ascending"), ("part", "ascending")]
@@ -15,6 +16,70 @@ def assert_same_postings(root_a: str, root_b: str) -> None:
             .to_table().sort_by(key) for root in (root_a, root_b))
     assert a.select(sorted(a.column_names)).equals(
         b.select(sorted(b.column_names)))
+
+
+class InjectedFault(RuntimeError):
+    """The crash a :class:`Faults` helper injects."""
+
+
+class _Proxy:
+    """Stands in for an object (say the ``os`` module as one module sees
+    it), with some attributes replaced."""
+
+    def __init__(self, real, **replaced):
+        self._real, self._replaced = real, replaced
+
+    def __getattr__(self, name):
+        if name in self._replaced:
+            return self._replaced[name]
+        return getattr(self._real, name)
+
+
+class Faults:
+    """In-process fault injection. ``arm(module, "os.replace", n)``
+    makes the n-th call of ``os.replace`` made from *module* raise
+    :class:`InjectedFault`; only that module's view of ``os`` changes.
+    A fault reaches code in this process only, so ``inline_waves()``
+    runs the bucket waves of both index kinds here, calling the bucket
+    task functions directly instead of as Ray tasks. ``undo()`` restores
+    everything."""
+
+    def __init__(self):
+        self._mp = pytest.MonkeyPatch()
+
+    def arm(self, module, step: str, n: int = 1) -> None:
+        owner, name = step.split(".")
+        real = getattr(module, owner)
+        real_fn = getattr(real, name)
+        calls = 0
+
+        def fn(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls == n:
+                raise InjectedFault(f"{step} call {n} in {module.__name__}")
+            return real_fn(*args, **kwargs)
+
+        self._mp.setattr(module, owner, _Proxy(real, **{name: fn}))
+
+    def inline_waves(self) -> None:
+        from ts_type_filter_ray.pipelines import build, positional
+
+        def wave(task, calls, zero=(0, 0)):
+            return tuple(map(sum, zip(zero, *(task(*a) for a in calls))))
+
+        for module in (build, positional):
+            self._mp.setattr(module, "_bucket_wave", wave)
+
+    def undo(self) -> None:
+        self._mp.undo()
+
+
+@pytest.fixture
+def faults():
+    f = Faults()
+    yield f
+    f.undo()
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ token sequences, and the phrase path must agree with the scan-shaped
 import numpy as np
 import pyarrow as pa
 import pytest
+from conftest import assert_same_postings
 
 from ts_type_filter_ray.pipelines.positional import (
     POS_BITS, PositionalIndex, PositionalSearcher, build_positional_index)
@@ -404,6 +405,7 @@ def test_extend_and_compact_positional(ray_session, tmp_path_factory):
                 os.path.join(comp.postings_dir, d))
                 if f.endswith(".parquet") and not f.startswith((".", "_"))]
             assert len(files) == 1, d
+    assert_same_postings(str(base / "inc"), str(base / "fresh"))
     sc = PositionalSearcher(comp)
     for p in PHRASES + ["new phrase", "batch batch", "fast solo"]:
         assert sc.phrase(p).tolist() == sf.phrase(p).tolist(), p
@@ -433,41 +435,92 @@ def test_extend_positional_stemmed(ray_session, tmp_path_factory):
     assert s.phrase("running tested").tolist() == [0, 1]
 
 
-def test_compaction_swap_recovery(ray_session, tmp_path_factory):
-    """A crash between the two swap renames is recoverable: committed
-    (tmp has _COMPLETE) → load finishes the swap; uncommitted → load
-    rolls back to the original postings. Queries never silently answer
-    from a missing postings dir."""
+@pytest.mark.parametrize("crash", ["before_commit", "before_rename"])
+@pytest.mark.parametrize("kind", ["main", "positional"])
+def test_compaction_swap_recovery(ray_session, tmp_path, faults, kind,
+                                  crash):
+    """A compaction that crashes inside a bucket's ``.compact.tmp`` swap
+    loses nothing, for both index kinds. The crash comes after the tmp
+    is written but before the markers go (``before_commit``), or after
+    the old segments went but before the rename (``before_rename``).
+    An index loaded after the crash answers exactly as before it, also
+    when several loads finish the same swap at once, and a re-run
+    leaves one data file per bucket (and a main index that fsck
+    passes)."""
     import os
-    import shutil
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
 
+    from conftest import InjectedFault
+    from ts_type_filter_ray.pipelines import build
+    from ts_type_filter_ray.pipelines.fsck import fsck_index
     from ts_type_filter_ray.pipelines.positional import (
-        PositionalIndex, build_positional_index)
+        compact_positional_index, extend_positional_index)
+    from ts_type_filter_ray.pipelines.query import LocalSearcher
 
-    base = tmp_path_factory.mktemp("posrec")
-    idx = build_positional_index(_mk_corpus(DOCS), str(base / "i"),
-                                 num_term_buckets=2, doc_part_bits=2)
-    root = idx.root
+    root = str(tmp_path / "idx")
+    docs_b = ["order fast order", "new phrase batch batch", "fast solo"]
+    if kind == "main":
+        build.build_index(_mk_corpus(DOCS), root, doc_part_bits=2,
+                          num_term_buckets=2)
+        build.extend_index(root, _mk_corpus(docs_b))
+        compact = build.compact_index
+
+        def answers():
+            s = LocalSearcher(build.BuiltIndex.load(root))
+            return [s.bm25(q, 10) for q in
+                    ("order fast", "batch", "fast solo", "a b c", "new")]
+    else:
+        build_positional_index(_mk_corpus(DOCS), root, num_term_buckets=2,
+                               doc_part_bits=2)
+        extend_positional_index(root, _mk_corpus(docs_b))
+        compact = compact_positional_index
+
+        def answers():
+            s = PositionalSearcher(PositionalIndex.load(root))
+            return ([s.phrase(p).tolist() for p in PHRASES]
+                    + [s.proximity(a, b, w).tolist() for a, b, w in PROX])
+
+    want = answers()
     postings = os.path.join(root, "postings")
-    want = PositionalSearcher(idx).phrase("order fast").tolist()
+    buckets = [os.path.join(postings, d) for d in sorted(os.listdir(
+        postings))]
+    faults.inline_waves()
+    faults.arm(build, "os.remove" if crash == "before_commit"
+               else "os.replace")
+    with pytest.raises(InjectedFault):
+        compact(root)
+    faults.undo()
+    # the crash hit the first bucket's swap: the old segments and their
+    # markers still beside the tmp, or no marker and no extension
+    # segment left
+    swapping = [names for names in (os.listdir(d) for d in buckets)
+                if ".compact.tmp" in names]
+    assert len(swapping) == 1
+    if crash == "before_commit":
+        assert {"_SUCCESS", "merged.parquet"} <= set(swapping[0])
+    else:
+        assert not [f for f in swapping[0]
+                    if f.startswith(("_SUCCESS", "segment_"))]
+        # several index loads finishing the same swap at once
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                for f in [pool.submit(build._finish_swaps, root)
+                          for _ in range(8)]:
+                    f.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
 
-    # committed swap interrupted after the first rename: postings moved
-    # to .old, tmp (the compacted copy) has _COMPLETE
-    shutil.copytree(postings, os.path.join(root, "postings.compact.tmp"))
-    open(os.path.join(root, "postings.compact.tmp", "_COMPLETE"),
-         "w").close()
-    os.replace(postings, os.path.join(root, "postings.old"))
-    idx2 = PositionalIndex.load(root)
-    assert os.path.isdir(postings)
-    assert not os.path.isdir(os.path.join(root, "postings.old"))
-    assert PositionalSearcher(idx2).phrase("order fast").tolist() == want
-
-    # uncommitted swap (no _COMPLETE): roll back from .old
-    shutil.copytree(postings, os.path.join(root, "postings.old"))
-    shutil.rmtree(postings)
-    idx3 = PositionalIndex.load(root)
-    assert os.path.isdir(postings)
-    assert PositionalSearcher(idx3).phrase("order fast").tolist() == want
+    assert answers() == want
+    compact(root)
+    assert answers() == want
+    for d in buckets:
+        assert [f for f in os.listdir(d) if f.endswith(".parquet")
+                and not f.startswith((".", "_"))] == ["merged.parquet"], d
+    if kind == "main":
+        assert fsck_index(root)["ok"][0].as_py()
 
 
 def test_upsert_validates_before_destruction(ray_session,

@@ -23,28 +23,39 @@ Postings land partitioned by ``bucket = crc32(term) % num_term_buckets``
 so a query routes to its buckets' files only; per-term df stays
 derivable because each term lives in exactly one bucket.
 
-One write path serves all five writers of a main index. ``build_index``,
-``extend_index`` and the checkpointed ``finalize_index`` hand their
-spill to ``_write_generation`` (docs table → empty-corpus check → merge
-wave). ``compact_index`` and ``merge_index_roots`` decode existing
-segments back into partial rows (``_segment_rows``). Every bucket task
-runs in one priced wave (``_bucket_wave``) and ends in the one bucket
-writer (``_write_bucket``: merge → tmp → rename → marker → count).
-Every writer ends in the one atomic ``stats.json`` commit
-(``_commit``), so a failed write leaves the previous stats readable.
+One write path serves every index writer: the five of the main index
+and the three of the positional index (``pipelines/positional.py``).
+``build_index``, ``extend_index`` and the checkpointed
+``finalize_index`` hand their spill to ``_write_generation`` (docs table
+→ empty-corpus check → merge wave). ``compact_index`` and
+``merge_index_roots`` decode existing segments back into partial rows
+(``_segment_rows``). Every bucket task runs in one priced wave
+(``_bucket_wave``) and ends in the one bucket writer (``_write_bucket``:
+encoded table → tmp → rename → marker → count), which never looks at
+the index format: each kind passes its own encoded table. Compaction of
+either kind swaps each bucket through ``.compact.tmp``; a swap a crash
+interrupted after its commit point is finished by the next load of the
+index (``_finish_swaps``). Every main-index writer ends in the one
+atomic ``stats.json`` commit (``_commit``), so a failed write leaves the
+previous stats readable.
 
 Index root layout (Parquet + one JSON):
   root/docs/*.parquet     root/postings/bucket=*/merged.parquet
   root/stats.json         (root/partials/bucket=*/*.arrow during the build)
   (extensions add docs/docs_g<g>_* and postings/bucket=*/segment_<g>.parquet)
+  each bucket dir also holds _df.parquet (its per-term df), a _SUCCESS
+  marker per segment, and .compact.tmp while a compaction swaps it
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import json
 import os
 import shutil
+import threading
 import time
 from dataclasses import dataclass
 
@@ -129,6 +140,7 @@ class BuiltIndex:
 
     @classmethod
     def load(cls, root: str) -> "BuiltIndex":
+        _finish_swaps(root)
         with open(os.path.join(root, "stats.json")) as f:
             return cls(root=root, stats=IndexStats(**json.load(f)))
 
@@ -373,15 +385,19 @@ def _clear_generation(postings_dir: str, file_name: str) -> None:
     """Remove every bucket's *file_name* + its marker (leftovers of a
     crashed attempt at the same generation — their markers would make a
     retry with different data silently keep the stale segments)."""
-    if not os.path.isdir(postings_dir):
-        return
-    for d in os.listdir(postings_dir):
-        if not d.startswith("bucket="):
-            continue
-        dest = os.path.join(postings_dir, d)
+    for dest in _bucket_dirs(postings_dir):
         for p in (os.path.join(dest, file_name), _marker(dest, file_name)):
             if os.path.exists(p):
                 os.remove(p)
+
+
+def _bucket_dirs(postings_dir: str) -> list[str]:
+    """The ``bucket=*`` dirs under *postings_dir*, in name order (none if
+    it does not exist)."""
+    if not os.path.isdir(postings_dir):
+        return []
+    return [os.path.join(postings_dir, d) for d in sorted(os.listdir(
+        postings_dir)) if d.startswith("bucket=")]
 
 
 def _docs_from_meta_files(srcs: list[str], dest: str) -> tuple[int, int]:
@@ -429,6 +445,18 @@ def merge_partial_buckets(partials_dir: str, postings_dir: str,
     checkpointed build. A bucket already under *postings_dir* that got
     no new rows (one an extension left untouched) still owns vocabulary,
     so it joins the wave to be counted."""
+    os.makedirs(postings_dir, exist_ok=True)
+    return _bucket_wave(_merge_one_bucket, [
+        (dirs, dest, avgdl, k1, b, file_name)
+        for dirs, dest in _bucket_sources(partials_dir, postings_dir)])
+
+
+def _bucket_sources(partials_dir: str, postings_dir: str
+                    ) -> list[tuple[list[str], str]]:
+    """(spill dirs, postings bucket dir) per term bucket, in bucket
+    order: every ``bucket=<b>`` (b >= 0) spill dir under *partials_dir*
+    or its ``shard=*`` subdirs, plus every bucket already under
+    *postings_dir*, with no spill dirs when it got no new rows."""
     by_bucket: dict[int, list[str]] = {}
 
     def scan(d: str) -> None:
@@ -444,20 +472,19 @@ def merge_partial_buckets(partials_dir: str, postings_dir: str,
                 scan(p)
 
     scan(partials_dir)
-    os.makedirs(postings_dir, exist_ok=True)
-    for name in os.listdir(postings_dir):
-        if name.startswith("bucket="):
-            by_bucket.setdefault(int(name.split("=", 1)[1]), [])
-    return _bucket_wave(_merge_one_bucket, [
-        (dirs, os.path.join(postings_dir, f"bucket={bucket}"), avgdl, k1, b,
-         file_name)
-        for bucket, dirs in sorted(by_bucket.items())])
+    for d in _bucket_dirs(postings_dir):
+        by_bucket.setdefault(int(d.rsplit("=", 1)[1]), [])
+    return [(dirs, os.path.join(postings_dir, f"bucket={bucket}"))
+            for bucket, dirs in sorted(by_bucket.items())]
 
 
-def _bucket_wave(task, calls: list[tuple]) -> tuple[int, int]:
+def _bucket_wave(task, calls: list[tuple],
+                 zero: tuple = (0, 0)) -> tuple:
     """Run ``task(*args)`` for every *args* in *calls* as one wave of
-    Ray tasks and sum their (distinct terms, postings) — global counts,
-    since every term lives in exactly one bucket. Raw ``ray.remote``
+    Ray tasks and sum their result tuples column-wise, starting from
+    *zero* (which sets the width) — (distinct terms, postings, ...) are
+    global counts, since every term lives in exactly one bucket. Raw
+    ``ray.remote``
     tasks by design: the data is already partitioned on disk, so this is
     a shared-nothing per-partition job — a Dataset ``groupby`` would
     re-shuffle data that is already placed (SURVEY.md §7)."""
@@ -468,10 +495,10 @@ def _bucket_wave(task, calls: list[tuple]) -> tuple[int, int]:
     total_cpus = int(ray.cluster_resources().get("CPU", 8))
     run = ray.remote(num_cpus=max(1, total_cpus // 16))(_run_bucket_task)
     results = ray.get([run.remote(task, *args) for args in calls])
-    return sum(r[0] for r in results), sum(r[1] for r in results)
+    return tuple(map(sum, zip(zero, *results)))
 
 
-def _run_bucket_task(task, *args) -> tuple[int, int]:
+def _run_bucket_task(task, *args) -> tuple:
     # many bucket tasks run concurrently, each in its own worker process
     # whose arrow pool defaults to ALL cores — 64 tasks x 32 threads
     # thrashes the (slow) memory bus into inverse scaling; one thread per
@@ -492,37 +519,76 @@ def _marker(dest: str, file_name: str) -> str:
     return os.path.join(dest, f"_SUCCESS.{file_name.rsplit('.', 1)[0]}")
 
 
-def _write_bucket(dest: str, rows: pa.Table | None, avgdl: float,
-                  k1: float, b: float, file_name: str = "merged.parquet",
-                  *, tmp_name: str | None = None,
-                  replaces: list[str] | tuple = ()) -> tuple[int, int]:
-    """The one bucket writer: partial *rows* (``term, part, doc_ids, tfs,
-    dls``) → ``merge_bucket_table`` (df and block-max priced at *avgdl*)
-    → tmp file → ``os.replace`` to *file_name* → its marker → the
-    bucket's (distinct terms, Σ df) over every segment, the new one
-    counted from memory.
+#: the compaction swap's tmp file: it holds a bucket's whole new
+#: ``merged.parquet`` before any old segment is removed
+_SWAP_TMP = ".compact.tmp"
 
-    *replaces* are segment files the new file supersedes (compaction).
-    They are removed only once the tmp holds the whole merged bucket,
-    markers first (invalidate), so a crash leaves either the old
-    segments or a finishable tmp; ``rows=None`` finishes such a crashed
-    swap from its tmp."""
-    tmp = os.path.join(dest, tmp_name or f".{file_name}.tmp")
-    fresh = None
-    if rows is not None:
-        merged = merge_bucket_table(rows, avgdl, k1, b)
-        os.makedirs(dest, exist_ok=True)
-        pq.write_table(merged, tmp)
-        if replaces:
-            for f in os.listdir(dest):
-                if f.startswith("_SUCCESS"):
-                    os.remove(os.path.join(dest, f))
-            for f in replaces:
+
+def _write_bucket(dest: str, table: pa.Table,
+                  file_name: str = "merged.parquet", *,
+                  swap: bool = False) -> tuple[int, int]:
+    """The one bucket writer of both index kinds: an encoded postings
+    *table* (any format with ``term, df`` columns) → tmp file →
+    ``os.replace`` to *file_name* → its marker → the bucket's (distinct
+    terms, Σ df) over every segment, the new one counted from memory.
+
+    ``swap=True`` (compaction) makes *table* the bucket's only segment,
+    ``merged.parquet``, in two phases. The tmp is ``.compact.tmp`` and
+    holds the whole bucket before anything is removed; removing the
+    ``_SUCCESS`` markers is the commit point; ``_finish_swap`` then
+    drops the old extension segments and renames the tmp over
+    ``merged.parquet``. A crash before the commit leaves the old
+    segments live (readers skip dot files); after it, the next load or
+    compaction finishes the swap."""
+    os.makedirs(dest, exist_ok=True)
+    tmp = os.path.join(dest, _SWAP_TMP if swap else f".{file_name}.tmp")
+    pq.write_table(table, tmp)
+    if swap:
+        for f in os.listdir(dest):
+            if f.startswith("_SUCCESS"):
+                os.remove(os.path.join(dest, f))
+        _finish_swap(dest)
+    else:
+        os.replace(tmp, os.path.join(dest, file_name))
+        open(_marker(dest, file_name), "w").close()
+    return _count_one_bucket(dest, (file_name, table))
+
+
+def _finish_swap(dest: str) -> bool:
+    """Finish a compaction swap that passed its commit point in bucket
+    dir *dest* (``.compact.tmp`` present, no marker left): remove the
+    superseded extension segments, rename the tmp over
+    ``merged.parquet``, mark it. Returns whether there was one; when
+    there is none this costs one directory listing.
+
+    Several index loads, or a load and the compaction itself, may finish
+    the same swap at once. Each step tolerates another finisher having
+    done it, and ``merged.parquet`` is only ever replaced by the rename,
+    never removed, so no finisher can delete the new file."""
+    names = os.listdir(dest)
+    if _SWAP_TMP not in names or any(f.startswith("_SUCCESS")
+                                     for f in names):
+        return False
+    merged = os.path.join(dest, "merged.parquet")
+    for f in _segment_files(dest):
+        if f != merged:
+            with contextlib.suppress(FileNotFoundError):
                 os.remove(f)
-        fresh = (file_name, merged)
-    os.replace(tmp, os.path.join(dest, file_name))
-    open(_marker(dest, file_name), "w").close()
-    return _count_one_bucket(dest, fresh)
+    with contextlib.suppress(FileNotFoundError):
+        os.replace(os.path.join(dest, _SWAP_TMP), merged)
+    open(_marker(dest, "merged.parquet"), "w").close()
+    return True
+
+
+def _finish_swaps(root: str) -> None:
+    """Finish every committed compaction swap a crash interrupted in the
+    index at *root* (either kind), and refresh those buckets'
+    ``_df.parquet`` — run by every index load, so a searcher never
+    answers from a half-swapped bucket. Directory listings only, unless
+    a swap needs finishing."""
+    for dest in _bucket_dirs(os.path.join(root, "postings")):
+        if _finish_swap(dest):
+            _count_one_bucket(dest)
 
 
 def _segment_files(bucket_dir: str) -> list[str]:
@@ -531,50 +597,43 @@ def _segment_files(bucket_dir: str) -> list[str]:
             if f.endswith(".parquet") and not f.startswith((".", "_"))]
 
 
-def _segment_rows(srcs: list[tuple[str, int]], doc_part_bits: int,
-                  tombs=None) -> pa.Table | None:
-    """Decode bucket segment files back into partial rows ``(term, part,
-    doc_ids, tfs, dls)`` — the inverse of the merge's encode, so
-    compaction and shard-merge rewrite a bucket through the ordinary
-    merge with no re-tokenize. One vectorized varint pass per column, no
-    per-row decode.
+def _segment_rows(src: str, doc_part_bits: int, tombs=None,
+                  offset: int = 0) -> pa.Table | None:
+    """Decode the segment files of bucket dir *src* back into partial
+    rows ``(term, part, doc_ids, tfs, dls)`` — the inverse of the merge's
+    encode, so compaction and shard-merge rewrite a bucket through the
+    ordinary merge with no re-tokenize. One vectorized varint pass per
+    column, no per-row decode.
 
-    *srcs* = (bucket dir, doc-id offset) pairs; a dir may be missing (a
-    shard whose vocabulary never hashed into this bucket). *tombs*
-    (sorted int64) purges those ids from every posting; the offset then
-    shifts every id. Rows are cut again wherever ``part = doc_id >>
-    doc_part_bits`` changes — a shift that is not part-aligned moves the
-    part boundaries — and a row left with no posting disappears. Returns
-    None when no dir holds a segment file."""
-    partials = []
-    for src, offset in srcs:
-        files = _segment_files(src) if os.path.isdir(src) else []
-        if not files:
-            continue
-        seg = pa.concat_tables([pq.read_table(f) for f in files]
-                               ).combine_chunks()
-        ids, off = plib.decode_doc_ids_column(seg["doc_ids_enc"])
-        tfs, _ = plib.decode_varints_column(seg["tfs_enc"])
-        dls, _ = plib.decode_varints_column(seg["dls_enc"])
-        row = np.repeat(np.arange(seg.num_rows, dtype=np.int64),
-                        np.diff(off))
-        if tombs is not None:
-            keep = ~sorted_member_mask(tombs, ids)
-            ids, tfs, dls, row = ids[keep], tfs[keep], dls[keep], row[keep]
-        ids = ids + offset
-        parts = ids >> doc_part_bits
-        cut = np.ones(len(ids), dtype=bool)
-        cut[1:] = (row[1:] != row[:-1]) | (parts[1:] != parts[:-1])
-        starts = np.flatnonzero(cut)
-        new_off = pa.array(np.append(starts, len(ids)).astype(np.int64))
-        partials.append(pa.table({
-            "term": seg["term"].take(pa.array(row[starts])),
-            "part": pa.array(parts[starts].astype(np.int32)),
-            **{name: pa.LargeListArray.from_arrays(new_off, pa.array(v))
-               for name, v in (("doc_ids", ids), ("tfs", tfs),
-                               ("dls", dls))},
-        }))
-    return pa.concat_tables(partials) if partials else None
+    *src* may be missing (a shard whose vocabulary never hashed into
+    this bucket). *tombs* (sorted int64) purges those ids from every
+    posting; *offset* then shifts every id. Rows are cut again wherever
+    ``part = doc_id >> doc_part_bits`` changes — a shift that is not
+    part-aligned moves the part boundaries — and a row left with no
+    posting disappears. Returns None when *src* holds no segment file."""
+    files = _segment_files(src) if os.path.isdir(src) else []
+    if not files:
+        return None
+    seg = pa.concat_tables([pq.read_table(f) for f in files]).combine_chunks()
+    ids, off = plib.decode_doc_ids_column(seg["doc_ids_enc"])
+    tfs, _ = plib.decode_varints_column(seg["tfs_enc"])
+    dls, _ = plib.decode_varints_column(seg["dls_enc"])
+    row = np.repeat(np.arange(seg.num_rows, dtype=np.int64), np.diff(off))
+    if tombs is not None:
+        keep = ~sorted_member_mask(tombs, ids)
+        ids, tfs, dls, row = ids[keep], tfs[keep], dls[keep], row[keep]
+    ids = ids + offset
+    parts = ids >> doc_part_bits
+    cut = np.ones(len(ids), dtype=bool)
+    cut[1:] = (row[1:] != row[:-1]) | (parts[1:] != parts[:-1])
+    starts = np.flatnonzero(cut)
+    new_off = pa.array(np.append(starts, len(ids)).astype(np.int64))
+    return pa.table({
+        "term": seg["term"].take(pa.array(row[starts])),
+        "part": pa.array(parts[starts].astype(np.int32)),
+        **{name: pa.LargeListArray.from_arrays(new_off, pa.array(v))
+           for name, v in (("doc_ids", ids), ("tfs", tfs), ("dls", dls))},
+    })
 
 
 def _merge_one_bucket(bucket_dirs: list[str], dest: str, avgdl: float,
@@ -585,7 +644,8 @@ def _merge_one_bucket(bucket_dirs: list[str], dest: str, avgdl: float,
     finished it, is only counted."""
     if bucket_dirs and not os.path.exists(_marker(dest, file_name)):
         rows = read_spill([f for d in bucket_dirs for f in spill_files(d)])
-        return _write_bucket(dest, rows, avgdl, k1, b, file_name)
+        return _write_bucket(dest, merge_bucket_table(rows, avgdl, k1, b),
+                             file_name)
     return _count_one_bucket(dest)
 
 
@@ -597,11 +657,13 @@ def _write_bucket_df(dest: str, term_df: pa.Table) -> pa.Table:
     column-pruned instead of rebuilding a vocab-sized Python dict from
     the full postings metadata (VERDICT r3 #5). The ``_`` prefix keeps
     the file invisible to the hive-partitioned postings dataset scan.
-    Atomic (unique tmp + rename) and idempotent — concurrent recounts of
-    the same bucket write identical bytes. Returns the written table."""
+    Atomic (a tmp unique to the process and thread + rename) and
+    idempotent — concurrent recounts of the same bucket write identical
+    bytes. Returns the written table."""
     agg = (term_df.group_by("term").aggregate([("df", "sum")])
            .rename_columns(["term", "df"]).sort_by("term"))
-    tmp = os.path.join(dest, f"._df.{os.getpid()}.tmp")
+    tmp = os.path.join(dest,
+                       f"._df.{os.getpid()}.{threading.get_ident()}.tmp")
     pq.write_table(agg, tmp)
     os.replace(tmp, os.path.join(dest, "_df.parquet"))
     return agg
@@ -735,19 +797,16 @@ def _purge_one_docs_shard(path: str, tombs) -> tuple[int, int]:
     return tbl.num_rows, int(dl)
 
 
-def _compact_one_bucket(dest: str, doc_part_bits: int, avgdl: float,
-                        k1: float, b: float, tombs=None) -> tuple[int, int]:
-    """Bucket task of compaction: every segment file of *dest* → one
-    fresh ``merged.parquet`` (block-max metadata recomputed at the
-    CURRENT avgdl), purging ``tombs`` (sorted int64) from every posting
-    on the way. Two-phase commit through ``.compact.tmp``: a crash at
-    any point leaves either the old segments or a finishable tmp, and a
-    bucket left with only the tmp is finished from it — re-running
-    compacts/finishes idempotently."""
-    segs = _segment_files(dest)
-    rows = _segment_rows([(dest, 0)], doc_part_bits, tombs) if segs else None
-    return _write_bucket(dest, rows, avgdl, k1, b, tmp_name=".compact.tmp",
-                         replaces=segs)
+def _compact_one_bucket(dest: str, decode, encode) -> tuple[int, int]:
+    """Bucket task of compaction, for both index kinds: every segment
+    file of *dest* → ``decode(dest)`` partial rows → ``encode`` → one
+    fresh ``merged.parquet``, swapped in per bucket by
+    ``_write_bucket(swap=True)``. A bucket whose swap a crash left past
+    its commit point is finished, not compacted again; one left before
+    it is compacted again — re-running is idempotent."""
+    if _finish_swap(dest):
+        return _count_one_bucket(dest)
+    return _write_bucket(dest, encode(decode(dest)), swap=True)
 
 
 def compact_index(root: str) -> BuiltIndex:
@@ -789,14 +848,15 @@ def compact_index(root: str) -> BuiltIndex:
                              "every document in the index")
         avgdl = total_dl / n_docs
     else:
-        tombs_ref = None
         n_docs, total_dl, avgdl = (st.num_documents, st.total_doc_len,
                                    st.avgdl)
 
+    decode = functools.partial(_segment_rows, doc_part_bits=st.doc_part_bits,
+                               tombs=tombs if tombs.size else None)
+    encode = functools.partial(merge_bucket_table, avgdl=avgdl, k1=st.k1,
+                               b=st.b)
     n_terms, n_postings = _bucket_wave(_compact_one_bucket, [
-        (os.path.join(postings_dir, d), st.doc_part_bits, avgdl, st.k1,
-         st.b, tombs_ref)
-        for d in sorted(os.listdir(postings_dir)) if d.startswith("bucket=")])
+        (dest, decode, encode) for dest in _bucket_dirs(postings_dir)])
 
     # visible-state swap in dependency order: docs shards, stats, then
     # tombstones last — a crash before the tombstone removal re-runs the
@@ -857,8 +917,13 @@ def _merge_shards_one_bucket(srcs: list[tuple[str, int]], dest: str,
     term bucket, ids shifted by the shard's offset and re-split at the
     shifted part boundaries (*srcs* = (shard bucket dir, id offset)),
     → one ``merged.parquet`` priced at the merged avgdl."""
-    rows = _segment_rows(srcs, doc_part_bits)
-    return (0, 0) if rows is None else _write_bucket(dest, rows, avgdl, k1, b)
+    rows = [r for src, offset in srcs
+            if (r := _segment_rows(src, doc_part_bits, offset=offset))
+            is not None]
+    if not rows:
+        return 0, 0
+    return _write_bucket(dest, merge_bucket_table(
+        pa.concat_tables(rows), avgdl, k1, b))
 
 
 def merge_index_roots(roots: list[str], out_dir: str) -> BuiltIndex:

@@ -17,6 +17,16 @@ production full-text engine uses for phrases:
              pcounts_enc   varint(#positions per doc ≡ tf)
              poss_enc      varint(delta positions WITHIN each doc)
 
+The index is written through the main index's write path
+(``pipelines/build.py``): the same priced bucket wave, the same bucket
+writer and markers, the same per-bucket ``_df.parquet`` (term, df)
+counts, and the same per-bucket ``.compact.tmp`` compaction swap,
+finished on load after a crash. Only the encoder (``_encode_positional``)
+and its decoder (``_decode_rows``) are this module's own. Layout:
+``root/stats.json`` and ``root/postings/bucket=*/`` holding
+``merged.parquet``, one ``segment_<g>.parquet`` per extension, a
+``_SUCCESS`` marker per segment and ``_df.parquet``.
+
 Query routing stays bucket-pruned: a phrase's terms hash to their
 buckets, the searcher reads only ``bucket=<h>`` files and filter-pushes
 ``term ∈ phrase`` into the Parquet scan, so a q-term phrase reads
@@ -47,6 +57,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +70,11 @@ from ray.data import Dataset
 from ..state import postings as plib
 from ..state.postings import term_bucket
 from ..state.spill import SpillDatasink, read_spill, spill_files
+from .build import (_bucket_dirs, _bucket_sources, _bucket_wave,
+                    _clear_generation, _compact_one_bucket,
+                    _count_one_bucket, _finish_swaps, _segment_files,
+                    _write_bucket, _write_stats, load_tombstones,
+                    sorted_member_mask)
 
 #: positions live in the low bits of the (doc, pos) key; any doc with
 #: doc_len >= 2**POS_BITS is rejected at build time so a +1 key shift
@@ -67,6 +83,11 @@ POS_BITS = 22
 _MAX_DOC_LEN = (1 << POS_BITS) - 1
 #: what a positional posting row keeps in the spill
 _SPILL_COLUMNS = ("term", "part", "doc_ids", "pcounts", "poss")
+#: what a positional segment file holds, one row per (term, part)
+_SEGMENT_SCHEMA = pa.schema([
+    ("term", pa.string()), ("part", pa.int32()), ("df", pa.int64()),
+    ("doc_ids_enc", pa.binary()), ("pcounts_enc", pa.binary()),
+    ("poss_enc", pa.binary())])
 
 
 def tokenize_positions_task(batch: pa.Table, *,
@@ -208,132 +229,118 @@ class PositionalIndex:
 
     @classmethod
     def load(cls, root: str) -> "PositionalIndex":
-        _recover_postings_swap(root)
+        _finish_swaps(root)
         with open(os.path.join(root, "stats.json")) as f:
             return cls(root=root, **json.load(f))
 
     def _dump(self) -> None:
-        from .build import _write_stats
         _write_stats(self.root, {k: v for k, v in self.__dict__.items()
                                  if k != "root"})
 
 
-def _merge_one_positional_bucket(bucket_dir: str | None, out_dir: str,
-                                 bucket: int,
-                                 file_name: str = "merged.parquet",
-                                 partial: pa.Table | None = None
-                                 ) -> tuple[int, int, int]:
-    """One bucket's partial spill files under *bucket_dir* — or the
-    in-memory *partial* rows, for compaction — → one compressed
-    positional segment (*file_name* — ``segment_<g>.parquet`` for LSM
-    extensions). Returns (distinct_terms, postings, positions).
-    Idempotent via a ``_SUCCESS``(.stem) marker (same two-phase-commit
-    shape as the main merge)."""
-    try:
-        pa.set_cpu_count(1)
-        pa.set_io_thread_count(1)
-    except Exception:
-        pass
-    dest = os.path.join(out_dir, f"bucket={bucket}")
-    stem = file_name.rsplit(".", 1)[0]
-    marker = os.path.join(dest, ("_SUCCESS" if file_name == "merged.parquet"
-                                 else f"_SUCCESS.{stem}"))
-    out_file = os.path.join(dest, file_name)
-    if not os.path.exists(marker):
-        if partial is None:
-            partial = read_spill(spill_files(bucket_dir))
-        tbl = partial.combine_chunks()
+def _encode_positional(rows: pa.Table) -> pa.Table:
+    """Partial positional rows (``term, part, doc_ids, pcounts, poss``)
+    of one bucket → its compressed segment table: one row per (term,
+    part) with ``df, doc_ids_enc, pcounts_enc, poss_enc``, terms in
+    first-appearance order, docs ascending. The rows are exploded to
+    (term, part, doc) groups and sorted — doc interleave across partial
+    files is the norm — then every column is varint-encoded in one
+    vectorized pass over the bucket."""
+    tbl = rows.combine_chunks()
+    enc = tbl["term"].combine_chunks().dictionary_encode()
+    codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    parts = tbl["part"].to_numpy(zero_copy_only=False).astype(np.int64)
+    dcol = tbl["doc_ids"].combine_chunks()
+    parent = pc.list_parent_indices(dcol).to_numpy(zero_copy_only=False)
+    flat_doc = dcol.flatten().to_numpy(zero_copy_only=False)
+    flat_cnt = tbl["pcounts"].combine_chunks().flatten().to_numpy(
+        zero_copy_only=False).astype(np.int64)
+    order = np.lexsort((flat_doc, parts[parent], codes[parent]))
+    code_s, part_s = codes[parent][order], parts[parent][order]
+    doc_s, cnt_s = flat_doc[order].astype(np.int64), flat_cnt[order]
 
-        enc = tbl["term"].combine_chunks().dictionary_encode()
-        codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        vocab = enc.dictionary.to_pylist()
-        parts = tbl["part"].to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(parts) and int(parts.max()) >= (1 << 24):
-            # rowkey packs part into the low 24 bits; a larger part would
-            # silently collide (term,part) groups (ADVICE r3)
-            raise ValueError(
-                f"doc partition id {int(parts.max())} >= 2^24 — raise the "
-                "rowkey part width or lower doc_part_bits")
+    # gather each doc group's position slice in sorted doc order
+    flat_pos = tbl["poss"].combine_chunks().flatten().to_numpy(
+        zero_copy_only=False).astype(np.int64)
+    grp_start = np.concatenate(([0], np.cumsum(flat_cnt)))[:-1]
+    pos_s = flat_pos[np.repeat(grp_start[order], cnt_s)
+                     + _ragged_arange(cnt_s)]
 
-        dcol = tbl["doc_ids"].combine_chunks()
-        ccol = tbl["pcounts"].combine_chunks()
-        pcol = tbl["poss"].combine_chunks()
+    # (term, part) runs over the sorted doc groups; doc ids delta-coded
+    # within a run, positions within a doc (the first of each absolute)
+    new_run = np.ones(len(doc_s), dtype=bool)
+    new_run[1:] = (code_s[1:] != code_s[:-1]) | (part_s[1:] != part_s[:-1])
+    starts = np.flatnonzero(new_run)
+    doc_first = np.concatenate(([0], np.cumsum(cnt_s)))[:-1]
+    d_delta = doc_s.copy()
+    d_delta[1:] -= doc_s[:-1]
+    d_delta[starts] = doc_s[starts]
+    p_delta = pos_s.copy()
+    p_delta[1:] -= pos_s[:-1]
+    p_delta[doc_first] = pos_s[doc_first]
+    return pa.table({
+        "term": enc.dictionary.take(pa.array(code_s[starts])),
+        "part": pa.array(part_s[starts].astype(np.int32)),
+        "df": pa.array(np.diff(np.append(starts, len(doc_s))),
+                       type=pa.int64()),
+        "doc_ids_enc": plib.encode_varints_sliced(d_delta, starts),
+        "pcounts_enc": plib.encode_varints_sliced(cnt_s, starts),
+        "poss_enc": plib.encode_varints_sliced(p_delta, doc_first[starts]),
+    }).cast(_SEGMENT_SCHEMA)
 
-        # explode to per-(term,part,doc) granularity and lexsort — a
-        # positional bucket is positions/num_buckets; the simple exact
-        # sort is the robust choice here (doc interleave across partial
-        # files is the norm, not the exception)
-        parent = pc.list_parent_indices(dcol).to_numpy(zero_copy_only=False)
-        flat_doc = dcol.flatten().to_numpy(zero_copy_only=False)
-        flat_cnt = ccol.flatten().to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        rowkey = (codes[parent] << np.int64(24)) | parts[parent]
-        order = np.lexsort((flat_doc, rowkey))
-        key_s = rowkey[order]
-        doc_s = flat_doc[order]
-        cnt_s = flat_cnt[order]
 
-        # gather each doc-group's position slice in sorted doc order
-        flat_pos = pcol.flatten().to_numpy(zero_copy_only=False)
-        grp_start = np.concatenate(([0], np.cumsum(flat_cnt)))[:-1]
-        take_idx = (np.repeat(grp_start[order], cnt_s) +
-                    _ragged_arange(cnt_s))
-        pos_sorted = flat_pos[take_idx]
+def _decode_rows(tbl: pa.Table):
+    """The one decoder of positional segment rows (the query path's
+    ``_term_keys`` and compaction's ``_positional_rows``): one
+    vectorized pass per column → (flat doc ids, their per-row offsets,
+    flat position counts, flat absolute positions)."""
+    docs, doc_off = plib.decode_doc_ids_column(tbl["doc_ids_enc"])
+    cnts, _ = plib.decode_varints_column(tbl["pcounts_enc"])
+    dpos, _ = plib.decode_varints_column(tbl["poss_enc"])
+    return docs, doc_off, cnts, _undelta_positions(dpos, cnts)
 
-        # (term,part) run boundaries over the sorted doc groups
-        n = len(key_s)
-        new_run = np.ones(n, dtype=bool)
-        if n:
-            new_run[1:] = key_s[1:] != key_s[:-1]
-        starts = np.flatnonzero(new_run)
-        ends = np.append(starts[1:], n)
-        pos_cum = np.concatenate(([0], np.cumsum(cnt_s)))
 
-        terms_out, parts_out, dfs = [], [], []
-        d_enc, c_enc, p_enc = [], [], []
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            code = int(key_s[s] >> 24)
-            part = int(key_s[s] & ((1 << 24) - 1))
-            docs = doc_s[s:e]
-            cnts = cnt_s[s:e]
-            ps, pe = int(pos_cum[s]), int(pos_cum[e])
-            poss = pos_sorted[ps:pe]
-            # delta-encode positions within each doc (first absolute)
-            dpos = np.diff(poss)
-            first = np.concatenate(([0], np.cumsum(cnts)))[:-1]
-            dpos = np.insert(dpos, 0, 0)  # placeholder at index 0
-            dpos[first] = poss[first]
-            terms_out.append(vocab[code])
-            parts_out.append(part)
-            dfs.append(len(docs))
-            d_enc.append(plib.encode_doc_ids(docs))
-            c_enc.append(plib.encode_varints(cnts))
-            p_enc.append(plib.encode_varints(dpos))
+def _positional_rows(dest: str) -> pa.Table:
+    """Every segment row of bucket dir *dest*, decoded back to the
+    partial (list-column) rows ``_encode_positional`` consumes — the
+    compaction decoder."""
+    tbl = pa.concat_tables([pq.read_table(f) for f in _segment_files(dest)]
+                           ).combine_chunks()
+    docs, doc_off, cnts, pos = _decode_rows(tbl)
+    pos_off = np.concatenate(([0], np.cumsum(cnts)))[doc_off]
+    return pa.table({
+        "term": tbl["term"], "part": tbl["part"],
+        "doc_ids": pa.ListArray.from_arrays(
+            pa.array(doc_off.astype(np.int32)), pa.array(docs)),
+        "pcounts": pa.ListArray.from_arrays(
+            pa.array(doc_off.astype(np.int32)),
+            pa.array(cnts.astype(np.int32))),
+        "poss": pa.ListArray.from_arrays(
+            pa.array(pos_off.astype(np.int32)),
+            pa.array(pos.astype(np.int32))),
+    })
 
-        merged = pa.table({
-            "term": pa.array(terms_out, type=pa.string()),
-            "part": pa.array(parts_out, type=pa.int32()),
-            "df": pa.array(dfs, type=pa.int64()),
-            "doc_ids_enc": pa.array(d_enc, type=pa.binary()),
-            "pcounts_enc": pa.array(c_enc, type=pa.binary()),
-            "poss_enc": pa.array(p_enc, type=pa.binary()),
-        })
-        os.makedirs(dest, exist_ok=True)
-        tmp = os.path.join(dest, ".merged.parquet.tmp")
-        pq.write_table(merged, tmp)
-        os.replace(tmp, out_file)
-        open(marker, "w").close()
-    # BUCKET-TOTAL counts across every segment file (not just the one
-    # written here) — refreshes the per-bucket _counts.json cache
-    return _count_positional_bucket(dest, force=True)
+
+def _merge_one_positional_bucket(bucket_dirs: list[str], dest: str,
+                                 file_name: str) -> tuple[int, int, int]:
+    """Bucket task of positional build and extend: the bucket's spill
+    files under *bucket_dirs* → one positional segment *file_name* in
+    *dest*. Returns (distinct terms, postings) over every segment of the
+    bucket, plus the positions of the new segment. A bucket with no new
+    rows is only counted."""
+    if not bucket_dirs:
+        return (*_count_one_bucket(dest), 0)
+    rows = read_spill([f for d in bucket_dirs for f in spill_files(d)])
+    n_pos = pc.sum(pc.list_value_length(rows["poss"])).as_py() or 0
+    return (*_write_bucket(dest, _encode_positional(rows), file_name),
+            n_pos)
 
 
 def _undelta_positions(dpos: np.ndarray, cnts: np.ndarray) -> np.ndarray:
     """Invert the per-doc delta encoding of one posting row's positions
     (first position of each doc absolute, rest deltas): cumsum, then
-    subtract the carried prefix at each doc start. Shared by the query
-    path (``_term_keys``) and compaction (``_decode_segments_to_partial``)
-    so the encoding has exactly one decoder."""
+    subtract the carried prefix at each doc start. Rows of a whole
+    column decode in one call: a row boundary is a doc boundary."""
     pos = np.cumsum(dpos)
     starts = np.concatenate(([0], np.cumsum(cnts)))[:-1]
     carry = np.zeros(len(dpos), dtype=np.int64)
@@ -365,115 +372,13 @@ def build_positional_index(corpus: Dataset, out_dir: str, *,
     contract, exactly like ``LocalSearcher``); ``None`` (default) is
     the lowercase-nostem mode the SQL-oracle gates check.
     """
-    import shutil
-
-    import ray
-
-    os.makedirs(out_dir, exist_ok=True)
-    partials_dir = os.path.join(out_dir, "partials")
-    shutil.rmtree(partials_dir, ignore_errors=True)
-
     n_docs = corpus.count()
     if n_docs == 0:
         raise ValueError("cannot build a positional index over an "
                          "empty corpus")
-    corpus.map_batches(
-        tokenize_positions_task,
-        fn_kwargs={"num_term_buckets": num_term_buckets,
-                   "doc_part_bits": doc_part_bits,
-                   "stemmer": stemmer},
-        batch_format="pyarrow", batch_size=batch_size,
-    ).write_datasink(SpillDatasink(partials_dir, _SPILL_COLUMNS))
-
-    postings_dir = os.path.join(out_dir, "postings")
-    shutil.rmtree(postings_dir, ignore_errors=True)
-    os.makedirs(postings_dir, exist_ok=True)
-    total_cpus = int(ray.cluster_resources().get("CPU", 8))
-    per_task_cpus = max(1, total_cpus // 16)
-    task = ray.remote(num_cpus=per_task_cpus)(_merge_one_positional_bucket)
-    refs = []
-    for name in sorted(os.listdir(partials_dir)):
-        if not name.startswith("bucket="):
-            continue
-        bucket = int(name.split("=", 1)[1])
-        refs.append(task.remote(os.path.join(partials_dir, name),
-                                postings_dir, bucket))
-    results = ray.get(refs)
-    shutil.rmtree(partials_dir, ignore_errors=True)
-
-    idx = PositionalIndex(
-        root=out_dir,
-        num_documents=int(n_docs),
-        num_terms=sum(r[0] for r in results),
-        num_postings=sum(r[1] for r in results),
-        num_positions=sum(r[2] for r in results),
-        doc_part_bits=doc_part_bits,
-        num_term_buckets=num_term_buckets,
-        num_segments=1,
-        id_ceiling=int(n_docs),
-    )
-    idx._dump()
-    return idx
-
-
-def _recover_postings_swap(root: str) -> None:
-    """Finish or roll back a compaction swap interrupted mid-flight —
-    called by :meth:`PositionalIndex.load` and at the start of
-    :func:`compact_positional_index`, so a crash between the two
-    directory renames can never leave queries silently answering from
-    a missing postings dir."""
-    import shutil
-
-    postings = os.path.join(root, "postings")
-    tmp = os.path.join(root, "postings.compact.tmp")
-    old = os.path.join(root, "postings.old")
-    if not os.path.isdir(postings):
-        if os.path.isdir(tmp) and os.path.exists(
-                os.path.join(tmp, "_COMPLETE")):
-            os.replace(tmp, postings)  # finish the committed swap
-        elif os.path.isdir(old):
-            os.replace(old, postings)  # roll back an uncommitted one
-        elif os.path.exists(os.path.join(root, "stats.json")):
-            raise FileNotFoundError(
-                f"positional index at {root!r} has no postings dir and "
-                "no recoverable swap state")
-    if os.path.isdir(old):
-        shutil.rmtree(old, ignore_errors=True)
-    marker = os.path.join(postings, "_COMPLETE")
-    if os.path.exists(marker):
-        os.remove(marker)
-
-
-def _count_positional_bucket(dest: str,
-                             force: bool = False) -> tuple[int, int, int]:
-    """(distinct_terms, postings, positions) across EVERY segment file of
-    one bucket dir — terms are disjoint across buckets, so per-bucket
-    distinct counts sum to the global count (same argument as the main
-    index's ``_count_one_bucket``). Results are cached in
-    ``_counts.json`` beside the segments (``force=True`` recomputes and
-    rewrites), so an extension only pays the full varint-decode recount
-    for buckets it actually touched."""
-    cpath = os.path.join(dest, "_counts.json")
-    if not force and os.path.exists(cpath):
-        with open(cpath) as f:
-            c = json.load(f)
-        return int(c["terms"]), int(c["postings"]), int(c["positions"])
-    files = [os.path.join(dest, f) for f in sorted(os.listdir(dest))
-             if f.endswith(".parquet") and not f.startswith((".", "_"))]
-    if not files:
-        return 0, 0, 0
-    tbl = pads.dataset(files).to_table(
-        columns=["term", "df", "pcounts_enc"])
-    n_terms = int(pc.count_distinct(tbl["term"]).as_py() or 0)
-    n_post = int(pc.sum(tbl["df"]).as_py() or 0)
-    n_pos = sum(int(plib.decode_varints(b.as_py()).sum())
-                for b in tbl["pcounts_enc"])
-    tmp = cpath + f".{os.getpid()}.tmp"
-    with open(tmp, "w") as f:
-        json.dump({"terms": n_terms, "postings": n_post,
-                   "positions": n_pos}, f)
-    os.replace(tmp, cpath)
-    return n_terms, n_post, n_pos
+    idx = PositionalIndex(out_dir, 0, 0, 0, 0, doc_part_bits,
+                          num_term_buckets, num_segments=0, id_ceiling=0)
+    return _add_generation(idx, corpus, int(n_docs), batch_size, stemmer)
 
 
 def extend_positional_index(root: str, new_corpus: Dataset, *,
@@ -488,13 +393,8 @@ def extend_positional_index(root: str, new_corpus: Dataset, *,
     unions every segment file of a term's bucket, and segment doc
     ranges are disjoint. ``stemmer`` must match the original build
     (caller-owned contract)."""
-    import shutil
-
-    import ray
-
     idx = PositionalIndex.load(root)
     offset = idx.next_doc_id
-    gen = idx.num_segments
 
     def shift_ids(batch: pa.Table) -> pa.Table:
         return batch.set_column(
@@ -504,9 +404,25 @@ def extend_positional_index(root: str, new_corpus: Dataset, *,
     n_new = new_corpus.count()
     if n_new == 0:
         raise ValueError("cannot extend with an empty corpus")
-    partials_dir = os.path.join(root, f"partials_ext{gen}")
+    return _add_generation(
+        idx, new_corpus.map_batches(shift_ids, batch_format="pyarrow"),
+        int(n_new), batch_size, stemmer)
+
+
+def _add_generation(idx: PositionalIndex, corpus: Dataset, n_new: int,
+                    batch_size: int, stemmer) -> PositionalIndex:
+    """Add the *n_new* docs of *corpus* (ids already past
+    ``idx.next_doc_id``) to *idx* as generation ``g = idx.num_segments``
+    — ``g = 0`` replaces ``postings/`` with one ``merged.parquet`` per
+    bucket, ``g > 0`` adds one ``segment_<g>.parquet`` per touched
+    bucket — and write its stats. Tokenize + spill, then build.py's
+    bucket wave; untouched buckets are only counted."""
+    gen = idx.num_segments
+    file_name = f"segment_{gen}.parquet" if gen else "merged.parquet"
+    partials_dir = os.path.join(idx.root,
+                                f"partials_ext{gen}" if gen else "partials")
     shutil.rmtree(partials_dir, ignore_errors=True)
-    new_corpus.map_batches(shift_ids, batch_format="pyarrow").map_batches(
+    corpus.map_batches(
         tokenize_positions_task,
         fn_kwargs={"num_term_buckets": idx.num_term_buckets,
                    "doc_part_bits": idx.doc_part_bits,
@@ -514,142 +430,38 @@ def extend_positional_index(root: str, new_corpus: Dataset, *,
         batch_format="pyarrow", batch_size=batch_size,
     ).write_datasink(SpillDatasink(partials_dir, _SPILL_COLUMNS))
 
-    postings_dir = idx.postings_dir
-    # clear leftovers of a CRASHED attempt at this same generation —
-    # their _SUCCESS markers would short-circuit this run's merges and
-    # silently keep the old attempt's (possibly different-corpus) data
-    for d in os.listdir(postings_dir):
-        if d.startswith("bucket="):
-            removed = False
-            for nm in (f"segment_{gen}.parquet",
-                       f"_SUCCESS.segment_{gen}"):
-                p = os.path.join(postings_dir, d, nm)
-                if os.path.exists(p):
-                    os.remove(p)
-                    removed = True
-            if removed:
-                # the crashed attempt's force-recount cached counts that
-                # INCLUDED the segment just deleted — a retry whose new
-                # corpus doesn't touch this bucket would read the stale
-                # cache into stats.json
-                cpath = os.path.join(postings_dir, d, "_counts.json")
-                if os.path.exists(cpath):
-                    os.remove(cpath)
-    total_cpus = int(ray.cluster_resources().get("CPU", 8))
-    per_task_cpus = max(1, total_cpus // 16)
-    task = ray.remote(num_cpus=per_task_cpus)(_merge_one_positional_bucket)
-    touched: list[int] = []
-    refs = []
-    for name in sorted(os.listdir(partials_dir)):
-        if not name.startswith("bucket="):
-            continue
-        bucket = int(name.split("=", 1)[1])
-        touched.append(bucket)
-        refs.append(task.remote(os.path.join(partials_dir, name),
-                                postings_dir, bucket,
-                                f"segment_{gen}.parquet"))
-    counts = {b: c for b, c in zip(touched, ray.get(refs))}
+    if gen == 0:
+        shutil.rmtree(idx.postings_dir, ignore_errors=True)
+    os.makedirs(idx.postings_dir, exist_ok=True)
+    # a crashed attempt at this generation left segments + markers that
+    # would short-circuit this run's merges
+    _clear_generation(idx.postings_dir, file_name)
+    idx.num_terms, idx.num_postings, n_pos = _bucket_wave(
+        _merge_one_positional_bucket,
+        [(dirs, dest, file_name)
+         for dirs, dest in _bucket_sources(partials_dir, idx.postings_dir)],
+        zero=(0, 0, 0))
     shutil.rmtree(partials_dir, ignore_errors=True)
 
-    # untouched buckets still own vocabulary: their counts come from the
-    # per-bucket _counts.json cache (one file read), so the extension's
-    # recount cost tracks the buckets it touched, not the index size —
-    # legacy caches missing → computed once and cached
-    count = ray.remote(_count_positional_bucket)
-    others = [int(d.split("=", 1)[1])
-              for d in sorted(os.listdir(postings_dir))
-              if d.startswith("bucket=")
-              and int(d.split("=", 1)[1]) not in counts]
-    counts.update(zip(others, ray.get(
-        [count.remote(os.path.join(postings_dir, f"bucket={b}"))
-         for b in others])))
-
-    idx.num_documents += int(n_new)
-    idx.num_terms = sum(c[0] for c in counts.values())
-    idx.num_postings = sum(c[1] for c in counts.values())
-    idx.num_positions = sum(c[2] for c in counts.values())
+    idx.id_ceiling = idx.next_doc_id + n_new
+    idx.num_documents += n_new
+    idx.num_positions += n_pos
     idx.num_segments = gen + 1
-    idx.id_ceiling = offset + int(n_new)
     idx._dump()
     return idx
-
-
-def _decode_segments_to_partial(dest: str) -> pa.Table:
-    """Every segment row of one bucket dir, decoded back to the PARTIAL
-    (list-column) format ``_merge_one_positional_bucket`` consumes —
-    the compaction adapter."""
-    files = [os.path.join(dest, f) for f in sorted(os.listdir(dest))
-             if f.endswith(".parquet") and not f.startswith((".", "_"))]
-    tbl = pads.dataset(files).to_table(
-        columns=["term", "part", "doc_ids_enc", "pcounts_enc", "poss_enc"])
-    terms, parts = [], []
-    docs_l, cnts_l, poss_l = [], [], []
-    for i in range(tbl.num_rows):
-        docs = plib.decode_doc_ids(tbl["doc_ids_enc"][i].as_py())
-        cnts = plib.decode_varints(tbl["pcounts_enc"][i].as_py())
-        dpos = plib.decode_varints(tbl["poss_enc"][i].as_py())
-        pos = _undelta_positions(dpos, cnts)
-        terms.append(tbl["term"][i].as_py())
-        parts.append(tbl["part"][i].as_py())
-        docs_l.append(docs.tolist())
-        cnts_l.append(cnts.astype(np.int32).tolist())
-        poss_l.append(pos.astype(np.int32).tolist())
-    return pa.table({
-        "term": pa.array(terms, type=pa.string()),
-        "part": pa.array(parts, type=pa.int32()),
-        "doc_ids": pa.array(docs_l, type=pa.list_(pa.int64())),
-        "pcounts": pa.array(cnts_l, type=pa.list_(pa.int32())),
-        "poss": pa.array(poss_l, type=pa.list_(pa.int32())),
-    })
-
-
-def _compact_one_positional_bucket(postings_dir: str, tmp_dir: str,
-                                   bucket: int) -> tuple[int, int, int]:
-    """Decode one bucket's segments to partial format, re-merge into a
-    single ``merged.parquet`` under *tmp_dir* (the swap happens on the
-    driver once every bucket committed)."""
-    dest = os.path.join(postings_dir, f"bucket={bucket}")
-    return _merge_one_positional_bucket(
-        None, tmp_dir, bucket, partial=_decode_segments_to_partial(dest))
 
 
 def compact_positional_index(root: str) -> PositionalIndex:
     """Collapse extension segments back to one ``merged.parquet`` per
     bucket — results unchanged (pytest-pinned vs a fresh build over the
-    union), reads per query drop back to one file per bucket. Two-phase:
-    every bucket compacts into a tmp dir, then one atomic directory
-    swap."""
-    import shutil
-
-    import ray
-
+    union), reads per query drop back to one file per bucket. Each
+    bucket swaps through ``.compact.tmp`` (``build._compact_one_bucket``),
+    so a reader sees either a bucket's old segments or its new file;
+    ``num_positions`` does not change."""
     idx = PositionalIndex.load(root)
-    postings_dir = idx.postings_dir
-    tmp_dir = os.path.join(root, "postings.compact.tmp")
-    shutil.rmtree(tmp_dir, ignore_errors=True)
-    os.makedirs(tmp_dir, exist_ok=True)
-    buckets = [int(d.split("=", 1)[1])
-               for d in sorted(os.listdir(postings_dir))
-               if d.startswith("bucket=")]
-    task = ray.remote(_compact_one_positional_bucket)
-    results = ray.get([task.remote(postings_dir, tmp_dir, b)
-                       for b in buckets])
-    # commit marker BEFORE the renames: a crash between the two
-    # os.replace calls is then recoverable — PositionalIndex.load /
-    # the next compact run finishes the swap (or rolls back an
-    # uncommitted one) via _recover_postings_swap
-    open(os.path.join(tmp_dir, "_COMPLETE"), "w").close()
-    old = os.path.join(root, "postings.old")
-    shutil.rmtree(old, ignore_errors=True)
-    os.replace(postings_dir, old)
-    os.replace(tmp_dir, postings_dir)
-    shutil.rmtree(old, ignore_errors=True)
-    marker = os.path.join(postings_dir, "_COMPLETE")
-    if os.path.exists(marker):
-        os.remove(marker)
-    idx.num_terms = sum(r[0] for r in results)
-    idx.num_postings = sum(r[1] for r in results)
-    idx.num_positions = sum(r[2] for r in results)
+    idx.num_terms, idx.num_postings = _bucket_wave(_compact_one_bucket, [
+        (dest, _positional_rows, _encode_positional)
+        for dest in _bucket_dirs(idx.postings_dir)])
     idx.num_segments = 1
     idx._dump()
     return idx
@@ -662,8 +474,6 @@ class PositionalSearcher:
     for a warm pool, same shape as ``LocalSearcher``."""
 
     def __init__(self, index: PositionalIndex, stemmer=None):
-        from .build import load_tombstones
-
         self._index = index
         # must match the stemmer the index was built with (caller-owned
         # contract, same as LocalSearcher); None = lowercase-nostem
@@ -673,7 +483,6 @@ class PositionalSearcher:
         self._tomb = load_tombstones(index.root)
 
     def _drop_deleted(self, ids: np.ndarray) -> np.ndarray:
-        from .build import sorted_member_mask
         if self._tomb.size == 0 or ids.size == 0:
             return ids
         dead = sorted_member_mask(self._tomb, ids)
@@ -689,26 +498,21 @@ class PositionalSearcher:
         for b in buckets:
             d = os.path.join(idx.postings_dir, f"bucket={b}")
             if os.path.isdir(d):
-                files.extend(os.path.join(d, f)
-                             for f in sorted(os.listdir(d))
-                             if f.endswith(".parquet")
-                             and not f.startswith((".", "_")))
-        out: dict[str, list[np.ndarray]] = {t: [] for t in want}
-        if files:
-            tbl = pads.dataset(files).to_table(
-                filter=pc.field("term").isin(want),
-                columns=["term", "doc_ids_enc", "pcounts_enc", "poss_enc"])
-            for i in range(tbl.num_rows):
-                term = tbl["term"][i].as_py()
-                docs = plib.decode_doc_ids(tbl["doc_ids_enc"][i].as_py())
-                cnts = plib.decode_varints(tbl["pcounts_enc"][i].as_py())
-                dpos = plib.decode_varints(tbl["poss_enc"][i].as_py())
-                pos = _undelta_positions(dpos, cnts)
-                keys = ((np.repeat(docs, cnts) << POS_BITS) | pos)
-                out[term].append(keys)
-        return {t: (np.sort(np.concatenate(a)) if a
-                    else np.empty(0, dtype=np.int64))
-                for t, a in out.items()}
+                files.extend(_segment_files(d))
+        if not files:
+            return {t: np.empty(0, dtype=np.int64) for t in want}
+        tbl = pads.dataset(files).to_table(
+            filter=pc.field("term").isin(want),
+            columns=["term", "doc_ids_enc", "pcounts_enc", "poss_enc"])
+        docs, doc_off, cnts, pos = _decode_rows(tbl)
+        keys = (np.repeat(docs, cnts) << POS_BITS) | pos
+        # the wanted-term index of every key: row → doc → position
+        term_of_row = pc.index_in(tbl["term"], value_set=pa.array(want))
+        term_of_key = np.repeat(np.repeat(
+            term_of_row.to_numpy(zero_copy_only=False), np.diff(doc_off)),
+            cnts)
+        return {t: np.sort(keys[term_of_key == i])
+                for i, t in enumerate(want)}
 
     def phrase(self, phrase: str) -> np.ndarray:
         """doc_ids (ascending) containing the contiguous token sequence
@@ -742,7 +546,6 @@ class PositionalSearcher:
         udocs, first = np.unique(docs, return_index=True)
         pos = keys[first] & _MAX_DOC_LEN
         if self._tomb.size:
-            from .build import sorted_member_mask
             dead = sorted_member_mask(self._tomb, udocs)
             if dead.any():
                 udocs, pos = udocs[~dead], pos[~dead]
@@ -792,7 +595,6 @@ class PositionalSearcher:
         keep = mind < sent  # docs where b co-occurs at all
         udocs, mind = udocs[keep], mind[keep]
         if self._tomb.size and udocs.size:
-            from .build import sorted_member_mask
             dead = sorted_member_mask(self._tomb, udocs)
             if dead.any():
                 udocs, mind = udocs[~dead], mind[~dead]
