@@ -115,6 +115,42 @@ def test_failed_commit_keeps_previous_stats(corpora, tmp_path, ray_session,
     assert sorted(os.listdir(root)) == ["docs", "postings", "stats.json"]
 
 
+def test_uncommitted_segment_stays_invisible(corpora, tmp_path, ray_session,
+                                             faults):
+    """An extension whose stats commit raises leaves its segment files
+    on disk, but every postings reader lists only the segments
+    stats.json counts: the warm searcher, the one-off paths and a
+    serving actor's partition searcher answer exactly as before the
+    extend, with no id at or past N."""
+    from conftest import InjectedFault
+
+    from ts_type_filter_ray.pipelines import build
+    from ts_type_filter_ray.pipelines.query import (bm25_dataset,
+                                                    match_doc_ids)
+    from ts_type_filter_ray.pipelines.serve import _DocPartSearcher
+
+    a, b, _, _ = corpora
+    root = str(tmp_path / "uncommitted")
+    before = LocalSearcher(build_index(read_corpus(a), root))
+    want = {q: (before.match(q).tolist(), before.bm25(q, k=10))
+            for q in QUERIES + ["import"]}
+    faults.arm(build, "json.dump")
+    with pytest.raises(InjectedFault):
+        extend_index(root, read_corpus(b))
+    faults.undo()
+    assert glob.glob(os.path.join(root, "postings", "*", "segment_1.*"))
+    idx = BuiltIndex.load(root)
+    n = idx.stats.num_documents
+    after = LocalSearcher(idx)
+    actor = _DocPartSearcher._part_searcher(root, list(range(n)))
+    for q, (ids, top) in want.items():
+        assert after.match(q).tolist() == ids and all(d < n for d in ids), q
+        assert after.bm25(q, k=10) == top, q
+        assert match_doc_ids(idx, q).tolist() == ids, q
+        assert bm25_dataset(idx, q, k=10) == top, q
+        assert actor.match(q).tolist() == ids, q
+
+
 def test_persisted_df_tracks_extend_and_compact(corpora, tmp_path,
                                                 ray_session):
     """The per-bucket ``_df.parquet`` written at merge time must stay

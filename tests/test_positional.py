@@ -170,6 +170,40 @@ def test_first_occurrences_tombstones(ray_session, tmp_path_factory):
     assert d3.tolist() == [0] and p3.tolist() == [2]
 
 
+def test_compaction_purges_tombstones(ray_session, tmp_path_factory):
+    """compact_positional_index purges delete_docs tombstones like
+    compact_index: the deleted docs' postings leave every bucket (a
+    bucket of only their terms empties), the stats count what remains,
+    the tombstone files are gone, and phrase answers do not change."""
+    import ray.data as rd
+
+    from ts_type_filter_ray.pipelines.build import (delete_docs,
+                                                    load_tombstones)
+    from ts_type_filter_ray.pipelines.positional import (
+        compact_positional_index)
+    docs = ["alpha beta gamma", "beta beta only", "gamma beta alpha",
+            "alpha beta"]
+    corpus = rd.from_arrow(pa.table({
+        "doc_id": pa.array(range(len(docs)), type=pa.int64()),
+        "content": pa.array(docs, type=pa.string())}))
+    root = str(tmp_path_factory.mktemp("pospurge") / "idx")
+    build_positional_index(corpus, root, num_term_buckets=4,
+                           doc_part_bits=1)
+    delete_docs(root, [0, 1])
+    phrases = ["alpha beta", "beta beta", "beta", "gamma beta alpha",
+               "only", "beta only"]
+    s = PositionalSearcher(PositionalIndex.load(root))
+    want = {p: s.phrase(p).tolist() for p in phrases}
+    assert want["alpha beta"] == [3] and want["beta"] == [2, 3]
+    idx = compact_positional_index(root)
+    assert (idx.num_documents, idx.num_terms, idx.num_postings,
+            idx.num_positions) == (2, 3, 5, 5)
+    assert PositionalIndex.load(root) == idx
+    assert load_tombstones(root).size == 0
+    s = PositionalSearcher(PositionalIndex.load(root))
+    assert {p: s.phrase(p).tolist() for p in phrases} == want
+
+
 def test_min_pair_distance_golden(pos_index):
     """min_pair_distance(a, b) ≡ brute-force min |pos_a − pos_b| per doc
     containing both terms."""

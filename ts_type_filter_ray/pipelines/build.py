@@ -597,6 +597,44 @@ def _segment_files(bucket_dir: str) -> list[str]:
             if f.endswith(".parquet") and not f.startswith((".", "_"))]
 
 
+def committed_segment_files(postings_dir: str, num_segments: int,
+                            buckets=None) -> list[str]:
+    """The postings files readers may see, bucket by bucket (both index
+    kinds): each bucket's ``merged.parquet`` and its
+    ``segment_<g>.parquet`` with g < *num_segments*, the committed
+    ``stats.json`` count. An extension writes its segment files before
+    it commits stats.json, so listing every file would answer from a
+    generation whose commit failed or has not happened yet. *buckets*
+    (bucket ids) narrows the listing."""
+    live = {"merged.parquet"} | {f"segment_{g}.parquet"
+                                 for g in range(1, num_segments)}
+    wanted = None if buckets is None else set(buckets)
+    return [f for d in _bucket_dirs(postings_dir)
+            if wanted is None or int(d.rsplit("=", 1)[1]) in wanted
+            for f in _segment_files(d) if os.path.basename(f) in live]
+
+
+#: the postings columns the query paths read, with their types
+_POSTINGS_SCHEMA = pa.schema([
+    ("term", pa.string()), ("part", pa.int32()), ("df", pa.int64()),
+    ("max_impact", pa.float64()), ("doc_ids_enc", pa.binary()),
+    ("tfs_enc", pa.binary()), ("dls_enc", pa.binary())])
+
+
+def read_postings(index: BuiltIndex, buckets=None, filter=None,
+                  columns=_POSTINGS_SCHEMA.names) -> pa.Table:
+    """The committed postings rows of *index* (every query-side reader
+    goes through here): only the segment files ``stats.json`` counts
+    (:func:`committed_segment_files`), of the term *buckets*
+    given (all by default), with *filter* pushed into the scan."""
+    files = committed_segment_files(index.postings_dir,
+                                    index.stats.num_segments, buckets)
+    if not files:
+        return _POSTINGS_SCHEMA.empty_table().select(columns)
+    import pyarrow.dataset as pads
+    return pads.dataset(files).to_table(filter=filter, columns=columns)
+
+
 def _segment_rows(src: str, doc_part_bits: int, tombs=None,
                   offset: int = 0) -> pa.Table | None:
     """Decode the segment files of bucket dir *src* back into partial

@@ -46,7 +46,7 @@ import pyarrow.parquet as pq
 
 from ..text.hashvec import md5_lower64_strings
 from .build import BuiltIndex
-from .query import _lev_within, _load_rows_for_terms, _drop_tombstoned
+from .query import _lev_within, postings_union
 
 __all__ = ["deletion_variants", "build_fuzzy_index",
            "fuzzy_candidate_terms", "match_fuzzy_indexed"]
@@ -281,15 +281,7 @@ def match_fuzzy_indexed(index: BuiltIndex, token: str,
     deletion-index probes → verified candidate terms → bucket+term
     pushdown postings read → ascending unique doc_ids (tombstones
     dropped). Result ≡ ``LocalSearcher.match_fuzzy`` (pytest-pinned)."""
-    from ..state import postings as plib
-
     terms = fuzzy_candidate_terms(index.root, token, max_dist)
     if not terms:
         return np.empty(0, dtype=np.int64)
-    tbl = _load_rows_for_terms(index, terms)
-    arrays = [plib.decode_doc_ids(buf)
-              for buf in tbl["doc_ids_enc"].to_pylist()] if tbl.num_rows \
-        else []
-    if not arrays:
-        return np.empty(0, dtype=np.int64)
-    return _drop_tombstoned(index, np.unique(np.concatenate(arrays)))
+    return postings_union(index, terms)

@@ -73,8 +73,8 @@ from ..state.spill import SpillDatasink, read_spill, spill_files
 from .build import (_bucket_dirs, _bucket_sources, _bucket_wave,
                     _clear_generation, _compact_one_bucket,
                     _count_one_bucket, _finish_swaps, _segment_files,
-                    _write_bucket, _write_stats, load_tombstones,
-                    sorted_member_mask)
+                    _write_bucket, _write_stats, committed_segment_files,
+                    load_tombstones, sorted_member_mask)
 
 #: positions live in the low bits of the (doc, pos) key; any doc with
 #: doc_len >= 2**POS_BITS is rejected at build time so a +1 key shift
@@ -300,13 +300,24 @@ def _decode_rows(tbl: pa.Table):
     return docs, doc_off, cnts, _undelta_positions(dpos, cnts)
 
 
-def _positional_rows(dest: str) -> pa.Table:
+def _positional_rows(dest: str, tombs: np.ndarray
+                     ) -> tuple[pa.Table, np.ndarray]:
     """Every segment row of bucket dir *dest*, decoded back to the
     partial (list-column) rows ``_encode_positional`` consumes — the
-    compaction decoder."""
+    compaction decoder — with the docs in *tombs* (sorted ids) purged.
+    Also returns, per tombstone, whether this bucket held its doc."""
     tbl = pa.concat_tables([pq.read_table(f) for f in _segment_files(dest)]
                            ).combine_chunks()
     docs, doc_off, cnts, pos = _decode_rows(tbl)
+    held = np.zeros(tombs.size, dtype=np.int64)
+    dead = sorted_member_mask(tombs, docs)
+    if dead.any():
+        held[np.searchsorted(tombs, docs[dead])] = 1
+        row = np.repeat(np.arange(tbl.num_rows), np.diff(doc_off))
+        doc_off = np.concatenate(([0], np.cumsum(np.bincount(
+            row[~dead], minlength=tbl.num_rows))))
+        pos = pos[np.repeat(~dead, cnts)]
+        docs, cnts = docs[~dead], cnts[~dead]
     pos_off = np.concatenate(([0], np.cumsum(cnts)))[doc_off]
     return pa.table({
         "term": tbl["term"], "part": tbl["part"],
@@ -318,7 +329,25 @@ def _positional_rows(dest: str) -> pa.Table:
         "poss": pa.ListArray.from_arrays(
             pa.array(pos_off.astype(np.int32)),
             pa.array(pos.astype(np.int32))),
-    })
+    }), held
+
+
+def _compact_positional_bucket(dest: str, tombs: np.ndarray) -> tuple:
+    """Bucket task of positional compaction (``build._compact_one_bucket``
+    with the positional codec, tombstoned docs purged): the bucket's
+    (distinct terms, postings, positions) afterwards, and per tombstone
+    whether the bucket held its doc."""
+    held = np.zeros(tombs.size, dtype=np.int64)
+
+    def decode(d: str) -> pa.Table:
+        rows, held[:] = _positional_rows(d, tombs)
+        return rows
+
+    counts = _compact_one_bucket(dest, decode, _encode_positional)
+    pcounts = pq.read_table(os.path.join(dest, "merged.parquet"),
+                            columns=["pcounts_enc"])["pcounts_enc"]
+    n_pos = int(plib.decode_varints_column(pcounts)[0].sum())
+    return (*counts, n_pos, held)
 
 
 def _merge_one_positional_bucket(bucket_dirs: list[str], dest: str,
@@ -456,14 +485,25 @@ def compact_positional_index(root: str) -> PositionalIndex:
     bucket — results unchanged (pytest-pinned vs a fresh build over the
     union), reads per query drop back to one file per bucket. Each
     bucket swaps through ``.compact.tmp`` (``build._compact_one_bucket``),
-    so a reader sees either a bucket's old segments or its new file;
-    ``num_positions`` does not change."""
+    so a reader sees either a bucket's old segments or its new file.
+
+    Like ``compact_index``, it purges :func:`~.build.delete_docs`
+    tombstones: their postings drop from every bucket, the stats are
+    recounted from what remains, and the tombstone files clear after
+    the stats commit. ``num_documents`` drops by the tombstoned docs
+    some bucket held: a deleted document with no token holds no posting
+    here, so it stays counted."""
     idx = PositionalIndex.load(root)
-    idx.num_terms, idx.num_postings = _bucket_wave(_compact_one_bucket, [
-        (dest, _positional_rows, _encode_positional)
-        for dest in _bucket_dirs(idx.postings_dir)])
+    tombs = load_tombstones(root)
+    idx.num_terms, idx.num_postings, idx.num_positions, held = _bucket_wave(
+        _compact_positional_bucket,
+        [(dest, tombs) for dest in _bucket_dirs(idx.postings_dir)],
+        zero=(0, 0, 0, np.zeros(tombs.size, dtype=np.int64)))
+    idx.num_documents -= int(np.count_nonzero(held))
     idx.num_segments = 1
     idx._dump()
+    if tombs.size:
+        shutil.rmtree(os.path.join(root, "tombstones"), ignore_errors=True)
     return idx
 
 
@@ -494,11 +534,8 @@ class PositionalSearcher:
         want = sorted(set(terms))
         buckets = sorted({term_bucket(t, idx.num_term_buckets)
                           for t in want})
-        files = []
-        for b in buckets:
-            d = os.path.join(idx.postings_dir, f"bucket={b}")
-            if os.path.isdir(d):
-                files.extend(_segment_files(d))
+        files = committed_segment_files(idx.postings_dir, idx.num_segments,
+                                        buckets)
         if not files:
             return {t: np.empty(0, dtype=np.int64) for t in want}
         tbl = pads.dataset(files).to_table(

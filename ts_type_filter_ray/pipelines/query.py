@@ -20,16 +20,12 @@ query may be ``str | list[str]`` (``:87-91``); disjunctive union
 pinned set (``:67-68,94``); results ascending by doc_id ≡ insertion order
 (``:99-101``).
 
-Bit-identical BM25 vs the oracle: contributions are accumulated in
-ascending term order with the same float64 expression shapes (see
-``oracle/index.py::CorpusOracle.bm25``); ``avgdl`` derives from the same
-int sum / int count.
-
 The four ranked scorers (``bm25``, ``tfidf``, ``query_likelihood``,
 ``query_likelihood_jm``) share one gather → fold → top-k core,
 :meth:`LocalSearcher._rank`; each scorer supplies only its per-row
 contribution (plus BM25's block-max bound and the QL normalizers). The
-bit-identity rules are written down once, in ``_rank``'s docstring.
+bit-identity rules vs the oracles (``oracle/index.py``) are written down
+once, in ``_rank``'s docstring.
 :func:`top_k` is the one (score desc, doc_id asc) selector, also used by
 the serving coordinator and the BM25F combiner.
 """
@@ -37,17 +33,14 @@ the serving coordinator and the BM25F combiner.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.dataset as pads
 
 from ..state import postings as plib
 from ..text.porter2 import stem
 from ..text.tokenize import break_on_whitespace
-from .build import BuiltIndex, sorted_member_mask, term_bucket
+from .build import BuiltIndex, read_postings, sorted_member_mask, term_bucket
 
 def query_stems(query, stemmer=None, breaker=None) -> list[str]:
     """Query → sorted distinct stems (mirrors ``inverted_index.py:87-92``;
@@ -97,16 +90,29 @@ def check_k(k: int) -> bool:
 def top_k(ids: np.ndarray, scores: np.ndarray, k: int
           ) -> tuple[np.ndarray, np.ndarray]:
     """The *k* best of parallel (doc_id, score) arrays, ordered
-    (score desc, doc_id asc). ``argpartition`` narrows to the k best
-    scores in O(n), then the exact lexsort runs only over the candidates
-    ≥ the k-th score, so every tie with it survives and the
-    deterministic tie-break holds."""
+    (score desc, doc_id asc). ``partition`` finds the k-th best score in
+    O(n), then the exact lexsort runs only over the candidates ≥ it, so
+    every tie with it survives and the deterministic tie-break holds."""
     if ids.size > k:
-        kth = np.argpartition(-scores, k - 1)[:k]
-        cand = np.flatnonzero(scores >= scores[kth].min())
+        cut = ids.size - k
+        cand = np.flatnonzero(scores >= np.partition(scores, cut)[cut])
         ids, scores = ids[cand], scores[cand]
     sel = np.lexsort((ids, -scores))[:k]
     return ids[sel], scores[sel]
+
+
+def _cat(arrays: list[np.ndarray]) -> np.ndarray:
+    """``np.concatenate`` that skips the copy of a single (read-only)
+    array."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _firsts(a: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values in *a*."""
+    first = np.empty(a.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return first
 
 
 def _lev_within(a: str, b: str, d: int) -> int | None:
@@ -145,37 +151,58 @@ def _lev_within(a: str, b: str, d: int) -> int | None:
 class SortedTermMap:
     """Binary-search lookups over a SORTED Arrow string array.
 
-    The load-time alternative to a vocab-sized Python dict: building
-    459k-entry ``dict``s (plus ``to_pylist`` of the vocab) cost ~1.0 s of
-    the 1.8 s searcher load; keeping the vocab as the Arrow dictionary
-    array costs nothing at load and each lookup materializes only the
-    O(log n) probed entries. UTF-8 byte order equals code-point order, so
-    Arrow's sort order agrees with Python ``str`` comparison.
+    The load-time alternative to a vocab-sized Python dict (which cost
+    ~1.0 s of a 1.8 s load at 459k terms): the load copies the array's
+    UTF-8 data once and views its offsets (O(vocab) bytes, no Python
+    object per term); a lookup bisects over them, slicing only the
+    O(log n) probed terms as ``bytes`` — no Arrow ``Scalar`` boxing.
+    UTF-8 byte order equals code-point order, so it agrees with Python
+    ``str`` order. ``arr`` may be a slice (``offset != 0``).
     """
 
-    __slots__ = ("arr", "n")
+    __slots__ = ("arr", "n", "_off", "_data")
 
     def __init__(self, arr: pa.Array):
+        if isinstance(arr, pa.ChunkedArray):
+            arr = arr.combine_chunks()
         self.arr = arr
-        self.n = len(arr)
+        self.n = n = len(arr)
+        if n == 0:
+            self._off, self._data = memoryview(np.zeros(1, np.int64)), b""
+            return
+        width = np.int64 if pa.types.is_large_string(arr.type) else np.int32
+        off = np.frombuffer(arr.buffers()[1], dtype=width)[
+            arr.offset:arr.offset + n + 1].astype(np.int64)
+        self._data = arr.buffers()[2][off[0]:off[-1]].to_pybytes()
+        # a memoryview indexes to Python ints, ~3x cheaper than numpy's
+        self._off = memoryview(off - off[0])
 
     def bisect_left(self, term: str) -> int:
+        return self._bisect(_utf8(term))
+
+    def index(self, term: str) -> int:
+        """Position of *term*, or -1 if absent."""
+        key = _utf8(term)
+        i = self._bisect(key)
+        if i < self.n and self._data[self._off[i]:self._off[i + 1]] == key:
+            return i
+        return -1
+
+    def _bisect(self, key: bytes) -> int:
+        off, data = self._off, self._data
         lo, hi = 0, self.n
-        arr = self.arr
         while lo < hi:
             mid = (lo + hi) >> 1
-            if arr[mid].as_py() < term:
+            if data[off[mid]:off[mid + 1]] < key:
                 lo = mid + 1
             else:
                 hi = mid
         return lo
 
-    def index(self, term: str) -> int:
-        """Position of *term*, or -1 if absent."""
-        i = self.bisect_left(term)
-        if i < self.n and self.arr[i].as_py() == term:
-            return i
-        return -1
+
+def _utf8(term: str) -> bytes:
+    # surrogatepass keeps lone surrogates in code-point order
+    return term.encode("utf-8", "surrogatepass")
 
 
 class LocalSearcher:
@@ -189,6 +216,20 @@ class LocalSearcher:
     def __init__(self, index: BuiltIndex, buckets: list[int] | None = None,
                  pinned_doc_ids: set[int] | None = None,
                  stemmer=None, breaker=None, warm_top_terms: int = 32):
+        self._open(index, read_postings(index, buckets), pinned_doc_ids,
+                   stemmer, breaker, warm_top_terms)
+
+    @classmethod
+    def _over(cls, index: BuiltIndex, rows: pa.Table,
+              pinned_doc_ids=None) -> "LocalSearcher":
+        """A searcher over some postings *rows* of *index* (a partition
+        slice, the rows of some terms): default stemmer, nothing warm."""
+        s = cls.__new__(cls)
+        s._open(index, rows, pinned_doc_ids, None, None, 0)
+        return s
+
+    def _open(self, index, rows, pinned_doc_ids, stemmer, breaker,
+              warm_top_terms) -> None:
         from .build import load_tombstones
 
         self._stats = index.stats
@@ -200,42 +241,31 @@ class LocalSearcher:
         # pinning — while N/df/avgdl stay frozen until compact_index
         # purges (the Lucene-style visibility/statistics split)
         self._tomb = load_tombstones(index.root)
-        dset = pads.dataset(index.postings_dir, partitioning="hive")
-        filt = None
-        if buckets is not None:
-            filt = pc.field("bucket").isin(buckets)
-        tbl = dset.to_table(filter=filt,
-                            columns=["term", "part", "df", "max_impact",
-                                     "doc_ids_enc", "tfs_enc", "dls_enc"])
-        self._ingest(tbl)
+        self._ingest(rows)
         self._init_cache(warm_top_terms)
 
     def _ingest(self, tbl: pa.Table) -> None:
         """Arrow-native load: one vectorized (term, part) sort, run-length
         term slices, reduceat global df — the encoded posting buffers stay
-        as Arrow binary columns (no per-row ``to_pylist`` copies; the r1
-        load path cost 4.1 s at 459k terms, this is ~10x less). The vocab
-        stays a sorted Arrow array behind :class:`SortedTermMap` — no
-        vocab-sized Python dicts/lists are ever built (r3's load spent
-        ~1.0 s of 1.8 s on them at 459k terms)."""
+        as Arrow binary columns (no per-row ``to_pylist`` copies), and
+        the vocab stays a sorted Arrow array behind
+        :class:`SortedTermMap` (no vocab-sized Python dicts or lists)."""
         n = tbl.num_rows
         order = pc.sort_indices(
             tbl, sort_keys=[("term", "ascending"), ("part", "ascending")])
         perm = order.to_numpy(zero_copy_only=False).astype(np.int64)
         # only the SMALL columns are materialized in sorted order; the
-        # encoded posting buffers (the ~100s of MB) stay exactly as read
-        # and are indexed through the permutation at decode time — the
-        # r4 load profile showed take+combine of the binary columns was
-        # the dominant first-touch cost of a cold load
+        # encoded posting buffers stay as read (take + combine of them
+        # dominated a cold load) and decode through the permutation
         self._perm = perm
         self._part = (tbl["part"].to_numpy(zero_copy_only=False)
                       .astype(np.int64)[perm])
-        df_row = (tbl["df"].to_numpy(zero_copy_only=False)
-                  .astype(np.int64)[perm])
+        # postings per row (a row's df): sizes the ranking batches
+        self._rowdf = df_row = (tbl["df"].to_numpy(zero_copy_only=False)
+                                .astype(np.int64)[perm])
         # raw stored block-max bounds; the avgdl-drift correction
-        # (impact_correction — extends AND federated global-stats
-        # overrides can both change avgdl after ingest) is applied at
-        # the pruning site so stats overrides never require re-ingest
+        # (impact_correction: extends and global-stats overrides) is
+        # applied at the pruning site
         self._imp = (tbl["max_impact"].to_numpy(zero_copy_only=False)
                      .astype(np.float64)[perm])
         self._denc = tbl["doc_ids_enc"]
@@ -264,12 +294,21 @@ class LocalSearcher:
         self._ends = ends
         self._df_values = np.add.reduceat(df_row, starts)
 
-    def _term_slice(self, term: str) -> tuple[int, int] | None:
-        """Row range [s, e) of *term*'s posting rows, or None."""
+    def _hits(self, terms) -> list[tuple[str, int, int, int]]:
+        """``(term, s, e, df)`` (see :meth:`_lookup`) of those *terms*
+        that have rows here, in the given order."""
+        return [(t, *hit) for t in terms
+                if (hit := self._lookup(t)) is not None]
+
+    def _lookup(self, term: str) -> tuple[int, int, int] | None:
+        """``(s, e, df)`` of *term* from one vocabulary lookup: its
+        posting rows [s, e) and its document frequency (the global one
+        under :meth:`set_global_df`), or None when no row holds it."""
         vi = self._terms.index(term)
         if vi < 0:
             return None
-        return int(self._starts[vi]), int(self._ends[vi])
+        return (int(self._starts[vi]), int(self._ends[vi]),
+                int(self._df_values[vi]))
 
     def _drop_deleted(self, ids: np.ndarray) -> np.ndarray:
         """Remove tombstoned doc_ids from an ASCENDING id array."""
@@ -281,25 +320,32 @@ class LocalSearcher:
     def _df_of(self, term: str) -> int:
         """Document frequency of *term* — the global override when set
         (doc-partitioned serving), else this searcher's own postings."""
+        hit = self._lookup(term)
+        if hit is not None:
+            return hit[2]
         if self._gdf is not None:
             tmap, vals = self._gdf
             i = tmap.index(term)
             return int(vals[i]) if i >= 0 else 0
-        i = self._terms.index(term)
-        return int(self._df_values[i]) if i >= 0 else 0
+        return 0
 
     def set_global_df(self, df: pa.Table) -> None:
         """Replace per-searcher df with GLOBAL df (the doc-partitioned
         serving shape, ``serve.SearchService``) — invalidates the cached
         per-row contribution arrays, which bake in idf. *df* is an Arrow
         table with term-ASCENDING (term, df) columns (the persisted
-        per-bucket ``_df.parquet`` concatenation) — it stays an Arrow
-        array + numpy vector here, never a Python dict, so the broadcast
-        is one plasma-shared buffer per node."""
+        ``_df.parquet`` concatenation), kept as Arrow + numpy, never a
+        Python dict. The local vocabulary's df values become the global
+        ones (one vectorized join), so one lookup still yields rows and
+        df; the global map answers only terms holding no local row."""
         terms = df["term"].combine_chunks() if df.num_rows else pa.array(
             [], type=pa.string())
         vals = df["df"].to_numpy(zero_copy_only=False).astype(np.int64)
         self._gdf = (SortedTermMap(terms), vals)
+        pos = pc.fill_null(pc.index_in(self._terms.arr, value_set=terms), -1)
+        # a term missing from the global table reads df 0 (index -1)
+        self._df_values = np.append(vals, 0)[
+            pos.to_numpy(zero_copy_only=False)]
         self._contrib.clear()
 
     def set_global_stats(self, num_documents: int, total_doc_len: int,
@@ -308,13 +354,11 @@ class LocalSearcher:
         postings with CROSS-INDEX global statistics — N, total doc
         length (⇒ avgdl), and the merged (term, df) table — so a
         federation of independently built indexes ranks bit-identically
-        to one merged index (``pipelines/federated.py``). Block-max
-        pruning stays exact: the avgdl this index's stored bounds were
-        computed with is frozen into ``min_merge_avgdl``, and
-        ``impact_correction`` re-validates them under the global avgdl.
-        Clears the decoded cache (the cached tf-factor arrays bake
-        avgdl) and, via :meth:`set_global_df`, the contribution cache
-        (which bakes idf)."""
+        to one merged index (``pipelines/federated.py``). Pruning stays
+        exact: this index's own avgdl is frozen into ``min_merge_avgdl``
+        and ``impact_correction`` re-validates the stored bounds. Clears
+        the decoded cache (tf-factors bake avgdl) and, via
+        :meth:`set_global_df`, the contribution cache (idf)."""
         import dataclasses
         st = self._stats
         own = st.min_merge_avgdl if st.min_merge_avgdl is not None \
@@ -328,13 +372,12 @@ class LocalSearcher:
         self._global_stats_active = True
 
     def _init_cache(self, warm_top_terms: int) -> None:
-        # decoded-postings cache: hot terms (import/def/...) decode once
-        # per searcher, not once per query; bounded LRU-ish eviction
+        # decoded-postings cache: hot terms decode once per searcher,
+        # not once per query; bounded, cleared whole when full
         self._decoded: dict[int, tuple] = {}  # row index → decoded arrays
-        # row index → idf(term) * tf_factor — FULLY constant per searcher
-        # (df, N, avgdl, k1, b are all fixed at load), so the hot-query
-        # scoring loop is a pure cached-array scatter-add. Rebuilt lazily;
-        # cleared by set_global_df (idf changes) and on decode eviction.
+        # row index → idf(term) * tf_factor, constant per searcher (df,
+        # N, avgdl, k1, b are fixed at load); rebuilt lazily, cleared by
+        # set_global_df (idf changes) and on decode eviction
         self._contrib: dict[int, np.ndarray] = {}
         # must hold warm_top_terms decoded hot rows (32 hot terms on the
         # 150k bench ≈ 115 MB) — a budget below that evicts the warm set
@@ -346,32 +389,26 @@ class LocalSearcher:
         if warm_top_terms and self._terms.n:
             hot = np.argsort(-self._df_values)[:warm_top_terms]
             for vi in hot.tolist():
-                term = self._terms.arr[vi].as_py()
-                s, e = int(self._starts[vi]), int(self._ends[vi])
-                for i in range(s, e):
-                    self._decode_row(term, i)
+                for i in range(self._starts[vi], self._ends[vi]):
+                    self._decode_row(i)
 
-    def _decode_row(self, term: str, i: int):
+    def _decode_row(self, i: int):
         # key on the ROW index: with segmented indexes (extend_index) a
         # (term, part) pair can own one row per segment — keying on the
         # pair would alias distinct rows
-        key = i
-        hit = self._decoded.get(key)
+        hit = self._decoded.get(i)
         if hit is not None:
             return hit
         j = int(self._perm[i])  # encoded columns are in as-read order
         doc_ids = plib.decode_doc_ids(self._denc[j].as_py())
         tfs = plib.decode_varints(self._tenc[j].as_py()).astype(np.float64)
         dls = plib.decode_varints(self._lenc[j].as_py()).astype(np.float64)
-        # the BM25 tf-factor depends only on per-index constants
-        # (avgdl/k1/b) and this row's tf/dl — precompute it ONCE per
-        # decode instead of per query (it was the warm-query hot spot:
-        # score = idf * factor is one multiply per posting now, the same
-        # float64 expression shape so scores stay bit-identical)
+        # the BM25 tf-factor depends only on per-index constants and
+        # this row's tf/dl: computed once per decode, not per query
         st = self._stats
         fac = _tf_factor(tfs, dls, st.avgdl, st.k1, st.b)
-        # doc ids relative to this row's dense-buffer base — precomputed
-        # so the dense scatter-add indexes the cached array directly
+        # doc ids relative to the row's partition base (the dense fold's
+        # slots)
         rel = doc_ids - (np.int64(self._part[i]) << np.int64(
             st.doc_part_bits))
         out = (doc_ids, tfs, dls, fac, rel)
@@ -380,7 +417,7 @@ class LocalSearcher:
             self._decoded.clear()
             self._contrib.clear()
             self._decoded_bytes = 0
-        self._decoded[key] = out
+        self._decoded[i] = out
         self._decoded_bytes += size
         return out
 
@@ -390,44 +427,28 @@ class LocalSearcher:
         """Disjunctive match → ascending doc_ids (≡ insertion order),
         pinned docs always included."""
         stems = query_stems(query, self._stemmer, self._breaker)
-        arrays = [self._pinned] if self._pinned.size else []
-        for term in stems:
-            sl = self._term_slice(term)
-            if sl is None:
-                continue
-            for i in range(sl[0], sl[1]):
-                arrays.append(self._decode_row(term, i)[0])
-        if not arrays:
-            return np.empty(0, dtype=np.int64)
-        return self._drop_deleted(np.unique(np.concatenate(arrays)))
+        return self._union_vocab_rows(
+            [vi for vi in map(self._terms.index, stems) if vi >= 0])
 
     def _term_docs(self, term: str) -> np.ndarray:
-        """All doc_ids holding *term*, ascending unique. A doc lives in
-        exactly one segment row (disjoint id ranges), so the concat has
-        no duplicates — but on multi-segment (extended) indexes the same
-        (term, part) pair owns one row per segment in FILE-DISCOVERY
-        order (``segment_10`` sorts before ``segment_2``), so the concat
-        is not globally sorted and must be sorted here: downstream set
-        ops (``intersect1d(assume_unique=True)``, ``searchsorted``
-        membership in ``bm25(allowed=)``) require ascending input."""
-        sl = self._term_slice(term)
-        if sl is None:
-            return np.empty(0, dtype=np.int64)
-        arrays = [self._decode_row(term, i)[0] for i in range(sl[0], sl[1])]
-        return arrays[0] if len(arrays) == 1 else np.sort(
-            np.concatenate(arrays))
+        """All doc_ids holding *term*, ascending unique."""
+        return self.term_postings(term)[0]
 
     def term_postings(self, term: str
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(doc_ids, tfs, dls) for *term* across every segment row,
-        doc-ascending (multi-segment concat re-sorted, same contract as
-        ``_term_docs``). The raw-posting accessor composite scorers
-        (e.g. the BM25F fielded combiner) build on."""
-        sl = self._term_slice(term)
+        doc-ascending — the raw-posting accessor composite scorers (e.g.
+        the BM25F fielded combiner) build on. A doc lives in exactly one
+        row, but on multi-segment (extended) indexes a (term, part) pair
+        owns one row per segment in file-name order (``segment_10``
+        before ``segment_2``), so a concat is re-sorted: set ops
+        downstream (``intersect1d(assume_unique=True)``, ``bm25(allowed=)``
+        membership) need ascending ids."""
+        sl = self._lookup(term)
         if sl is None:
             e = np.empty(0, dtype=np.int64)
             return e, e, np.empty(0, dtype=np.float64)
-        rows = [self._decode_row(term, i)[:3] for i in range(sl[0], sl[1])]
+        rows = [self._decode_row(i)[:3] for i in range(sl[0], sl[1])]
         if len(rows) == 1:
             return rows[0]
         ids = np.concatenate([r[0] for r in rows])
@@ -490,14 +511,9 @@ class LocalSearcher:
             hi += 1
         if hi == lo:
             return []
-        if self._gdf is not None:
-            # doc-partitioned serving: rank completions by GLOBAL df
-            # (suggest_correction already does — the two autocomplete
-            # surfaces must agree on the df source)
-            dfs = np.array([self._df_of(arr[i].as_py())
-                            for i in range(lo, hi)], dtype=np.int64)
-        else:
-            dfs = self._df_values[lo:hi]
+        # the global df under doc-partitioned serving (set_global_df),
+        # the df source suggest_correction ranks by too
+        dfs = self._df_values[lo:hi]
         order = np.lexsort((np.arange(hi - lo), -dfs))[:k]
         return [(arr[lo + int(o)].as_py(), int(dfs[o])) for o in order]
 
@@ -533,10 +549,8 @@ class LocalSearcher:
         applies both contracts once at the top)."""
         arrays = []
         for vi in vocab_indices:
-            s, e = int(self._starts[vi]), int(self._ends[vi])
-            term = self._terms.arr[int(vi)].as_py()
-            for i in range(s, e):
-                arrays.append(self._decode_row(term, i)[0])
+            for i in range(self._starts[vi], self._ends[vi]):
+                arrays.append(self._decode_row(i)[0])
         if not arrays:
             return np.empty(0, dtype=np.int64)
         return np.unique(np.concatenate(arrays))
@@ -771,7 +785,9 @@ class LocalSearcher:
     # -- BM25 ----------------------------------------------------------
 
     def idf(self, term: str) -> float:
-        df = self._df_of(term)
+        return self._idf(self._df_of(term))
+
+    def _idf(self, df: int) -> float:
         n = self._stats.num_documents
         return math.log((n - df + 0.5) / (df + 0.5) + 1.0)
 
@@ -788,22 +804,29 @@ class LocalSearcher:
 
         Exactness discipline (why every scorer is bit-identical to its
         oracle): each doc's score is the left fold, from 0.0, of its
-        contributions in ascending term order — a doc appears at most
-        once per row, so one fancy-indexed ``+=`` per row IS that fold
-        (``np.add.reduceat`` is not: it right-associates). Partitions
-        with ``doc_part_bits <= 22`` fold into a dense 2^bits buffer;
-        larger ones take the sparse ``unique`` + ``searchsorted`` path.
-        Touched slots are tracked explicitly, so docs whose
-        contributions are all 0.0 still rank. ``finish(sums, dls)``
-        (dls = each doc's length) runs AFTER the fold — the oracles'
-        ``fold + normalizer`` expression order.
+        contributions in ascending term order. A batch's rows are
+        concatenated in that order and folded by ``np.bincount(slot,
+        weights=c)``, which adds in input order into zeros — that IS
+        the fold (``np.add.reduceat`` is not: it sums pairwise). A batch
+        is one *heavy* partition (≥ 2^bits/16 postings, bits ≤ 22; slot
+        = the doc's offset in its dense 2^bits partition) or a run of
+        *light* partitions, consecutive in scoring order and together
+        < 2^bits/16 postings (slot = the doc's rank after a stable sort
+        by id: O(postings log), not O(2^bits)). A one-term query's fold
+        is its contributions (one posting per doc). Docs whose
+        contributions are all 0.0 still rank. ``finish(sums, dls)`` (dls
+        = each doc's length) runs AFTER the fold — the oracles' ``fold +
+        normalizer`` expression order.
 
-        ``bound(info, i)`` is an upper bound on any contribution of row
-        *i*; given it, partitions are scored in descending
-        ub(p) = Σ bound order and the rest skipped once ub(p) < the
-        current k-th best score (block-max WAND at (term, partition)
-        granularity — exact, since no doc in p can score above ub(p)).
-        Without it partitions run ascending and none is skipped.
+        ``bound(info, s, e)`` bounds every contribution of rows [s, e);
+        given it, ub(p) sums p's row bounds in the same ascending-term
+        order (``bincount`` again), partitions are scored in descending
+        ub(p) order and the rest skipped once ub(p) < the k-th best
+        score so far (block-max WAND at (term, partition) granularity —
+        exact, since no doc in p can score above ub(p)). Without it none
+        is skipped. Running threshold: once k results are held, a batch
+        keeps only candidates ``>=`` the k-th score (a tie may still win
+        on doc id), and :func:`top_k` runs only if one survives.
 
         Tombstoned docs never rank; ``allowed`` (sorted unique doc_ids)
         restricts candidates; ``after=(doc_id, score)`` keeps only docs
@@ -811,63 +834,98 @@ class LocalSearcher:
         if not check_k(k) or not terms or (
                 allowed is not None and allowed.size == 0):
             return []
-        # one pass: (term, row) pairs grouped by doc-partition, in
-        # ascending term then row order (the fold order), plus ub(p)
-        groups: dict[int, list] = {}
-        ub: dict[int, float] = defaultdict(float)
-        for term, s, e, info in terms:
-            for i, p in zip(range(s, e), self._part[s:e].tolist()):
-                groups.setdefault(p, []).append((term, info, i))
-                if bound is not None:
-                    ub[p] += bound(info, i)
-        order = (sorted(groups) if bound is None
-                 else sorted(groups, key=lambda p: -ub[p]))
         bits = self._stats.doc_part_bits
-        dense = bits <= 22
-        if dense:
-            buf = np.zeros(1 << bits, dtype=np.float64)
-            seen = np.zeros(1 << bits, dtype=bool)
-            dlb = (np.zeros(1 << bits, dtype=np.float64)
-                   if finish is not None else None)
-        best_ids = np.empty(0, dtype=np.int64)
-        best = np.empty(0, dtype=np.float64)
-        for p in order:
-            if bound is not None and best.size == k and ub[p] < best[-1]:
-                break  # no doc in any remaining partition can enter top-k
-            rows = [(self._decode_row(term, i), info, i)
-                    for term, info, i in groups[p]]
-            if dense:
-                for row, info, i in rows:
-                    rel = row[4]  # ids relative to the partition base
-                    buf[rel] += contrib(info, i, row)
-                    seen[rel] = True
-                    if finish is not None:
-                        dlb[rel] = row[2]  # identical per doc across rows
-                slots = np.flatnonzero(seen)
-                seen[slots] = False
-                uniq = slots + (p << bits)
-                sums = buf[slots]
-                dls = dlb[slots] if finish is not None else None
-                buf[slots] = 0.0  # sparse reset for the next partition
+        span = 1 << bits
+        cap = span >> 4
+        # every posting row, in fold order
+        rows = [(info, i) for _t, s, e, info in terms for i in range(s, e)]
+        at = np.fromiter((i for _, i in rows), np.int64, len(rows))
+        if self._rowdf[at].sum() < cap:
+            # all partitions light, together under the cap: the first
+            # batch would take them all, so skip the grouping
+            grouped, ends = range(len(rows)), [len(rows)]
+            size, order = [0], [0]
+        else:
+            # rows grouped by partition, each group still in fold order
+            # (stable sort), then per partition its postings and ub(p)
+            grouped = np.argsort(self._part[at], kind="stable")
+            first = _firsts(self._part[at[grouped]])
+            gid = np.cumsum(first) - 1
+            parts = self._part[at[grouped[first]]]
+            ends = np.append(np.flatnonzero(first)[1:], len(rows)).tolist()
+            size = np.bincount(gid, weights=self._rowdf[at[grouped]]).tolist()
+            if bound is None:
+                order = list(range(parts.size))
             else:
-                uniq = np.unique(np.concatenate([row[0]
-                                                 for row, _, _ in rows]))
-                sums = np.zeros(uniq.size, dtype=np.float64)
-                dls = np.zeros(uniq.size, dtype=np.float64)
-                for row, info, i in rows:
-                    pos = np.searchsorted(uniq, row[0])
-                    sums[pos] += contrib(info, i, row)
-                    dls[pos] = row[2]
+                ub = np.bincount(gid, weights=np.concatenate(
+                    [bound(info, s, e) for _t, s, e, info in terms])[grouped])
+                order = np.argsort(-ub, kind="stable").tolist()
+                ub = ub.tolist()
+            grouped = grouped.tolist()
+        best_ids, best = np.empty(0, dtype=np.int64), np.empty(0)
+        j = 0
+        while j < len(order):
+            thr = float(best[-1]) if best.size == k else None
+            prune = bound is not None and thr is not None
+            p = order[j]
+            if prune and ub[p] < thr:
+                break  # no doc in any remaining partition can enter top-k
+            batch, total = [p], size[p]
+            j += 1
+            heavy = bits <= 22 and total >= cap
+            while not heavy and j < len(order) and \
+                    total + size[order[j]] < cap and \
+                    not (prune and ub[order[j]] < thr):
+                batch.append(order[j])
+                total += size[order[j]]
+                j += 1
+            brows = [rows[r] for q in batch
+                     for r in grouped[ends[q - 1] if q else 0:ends[q]]]
+            dec = [self._decode_row(i) for _, i in brows]
+            c = _cat([contrib(info, i, row)
+                      for (info, i), row in zip(brows, dec)])
+            dl = _cat([row[2] for row in dec]) if finish is not None \
+                else None
+            if len(terms) == 1:
+                uniq, sums, dls = _cat([row[0] for row in dec]), c + 0.0, dl
+            elif heavy:
+                rel = _cat([row[4] for row in dec])
+                acc = np.bincount(rel, weights=c, minlength=span)
+                seen = np.zeros(span, dtype=bool)
+                seen[rel] = True
+                slots = np.flatnonzero(seen)
+                uniq = slots + (int(parts[p]) << bits)
+                sums = acc[slots]
+                if finish is not None:
+                    acc[rel] = dl  # identical per doc across rows
+                    dls = acc[slots]
+            else:
+                ids = _cat([row[0] for row in dec])
+                srt = np.argsort(ids, kind="stable")
+                first = _firsts(ids[srt])
+                uniq = ids[srt[first]]
+                # the stable sort keeps each doc's contributions in fold
+                # order
+                sums = np.bincount(np.cumsum(first) - 1, weights=c[srt])
+                if finish is not None:
+                    dls = dl[srt[first]]
             if finish is not None:
                 sums = finish(sums, dls)
-            keep = ~sorted_member_mask(self._tomb, uniq)
-            if allowed is not None:
-                keep &= sorted_member_mask(allowed, uniq)
-            if after is not None:
-                a_d, a_s = after
-                keep &= (sums < a_s) | ((sums == a_s) & (uniq > a_d))
-            best_ids, best = top_k(np.concatenate((best_ids, uniq[keep])),
-                                   np.concatenate((best, sums[keep])), k)
+            if thr is not None:
+                hit = sums >= thr
+                uniq, sums = uniq[hit], sums[hit]
+            if uniq.size and (self._tomb.size or allowed is not None
+                              or after is not None):
+                keep = ~sorted_member_mask(self._tomb, uniq)
+                if allowed is not None:
+                    keep &= sorted_member_mask(allowed, uniq)
+                if after is not None:
+                    a_d, a_s = after
+                    keep &= (sums < a_s) | ((sums == a_s) & (uniq > a_d))
+                uniq, sums = uniq[keep], sums[keep]
+            if uniq.size:
+                best_ids, best = top_k(np.concatenate((best_ids, uniq)),
+                                       np.concatenate((best, sums)), k)
         return list(zip(best_ids.tolist(), best.tolist()))
 
     def bm25(self, query, k: int = 10,
@@ -878,9 +936,9 @@ class LocalSearcher:
         """Top-k (doc_id, score), tie-break (score desc, doc_id asc).
 
         ``after=(doc_id, score)`` — a RESULT ROW — is the SEARCH-AFTER
-        cursor: only docs
-        strictly after the cursor in (score desc, doc_id asc) order are
-        returned — pass the last row of a page to get the next page.
+        cursor: only docs strictly after the cursor in (score desc,
+        doc_id asc) order are returned — pass a page's last row to get
+        the next page.
         Exact because scores are deterministic bit-identical floats, so
         ``bm25(q, k) + bm25(q, k, after=page[-1]) == bm25(q, 2k)``
         (pytest-pinned). Cheaper than deep top-k re-ranking at every
@@ -897,47 +955,36 @@ class LocalSearcher:
         scale with the boost, so WAND pruning stays exact. Omitted
         terms default to 1.0 (bit-identical to the unboosted query).
 
-        Partition-level block-max pruning: for each doc-partition p the
-        upper bound ub(p) = Σ_t idf(t)·max_impact(t,p) is computed from
-        the stored block-max metadata; partitions are scored in
-        descending ub order and skipped outright once ub(p) < the current
-        k-th best score — the WAND idea at (term, doc-partition)-block
-        granularity. Exactness: no document in p can score above ub(p).
-        Exactness rules and filters: :meth:`_rank`.
+        Partitions are pruned by block-max bounds, ub(p) = Σ_t idf(t) ·
+        max_impact(t, p) from the stored metadata; pruning, exactness
+        rules and filters: :meth:`_rank`.
         """
-        # per-term query boosts (Lucene term^b): keys are raw tokens,
-        # stemmed with this index's stemmer for lookup; must be positive
-        # (the block-max upper bound scales linearly in the boost, so
-        # pruning stays exact only for boost > 0)
+        # boosts key raw tokens, stemmed for lookup; > 0 keeps the
+        # bounds (linear in the boost) valid
         bmap: dict[str, float] = {}
         for tok, bv in (boosts or {}).items():
             if not bv > 0.0:
                 raise ValueError(f"boost for {tok!r} must be > 0")
             bmap[self._stem_token(tok.lower())] = float(bv)
-        terms = []
-        for term in query_stems(query, self._stemmer, self._breaker):
-            sl = self._term_slice(term)
-            if sl is not None:
-                terms.append((term, *sl,
-                              (self.idf(term), bmap.get(term, 1.0))))
-        # corr = 1.0 on single-generation indexes with their own stats;
-        # >1 re-validates bounds frozen at a smaller avgdl (LSM extends,
-        # federated global-stats overrides — tf_factor grows at most
-        # linearly in avgdl, see IndexStats).
+        terms = [(t, s, e, (self._idf(df), bmap.get(t, 1.0))) for t, s, e, df
+                 in self._hits(query_stems(query, self._stemmer,
+                                           self._breaker))]
+        # > 1 re-validates bounds frozen at a smaller avgdl (extends,
+        # global-stats overrides; see IndexStats.impact_correction)
         corr = self._stats.impact_correction
 
-        def bound(info, i):
+        def bound(info, s, e):
+            # boost * (idf * (imp * corr)); a factor of 1.0 is exact
             idf, boost = info
-            return boost * (idf * (self._imp[i] * corr))
+            imp = self._imp[s:e] if corr == 1.0 else self._imp[s:e] * corr
+            return idf * imp if boost == 1.0 else boost * (idf * imp)
 
         def contrib(info, i, row):
             idf, boost = info
             c = self._contrib.get(i)
             if c is None:
-                # idf is fixed per searcher → the whole per-row
-                # contribution array is a constant; cache it under the
-                # same budget discipline as _decode_row so the cache
-                # can't transiently exceed the budget
+                # constant per searcher (idf is): cached under the
+                # decode cache's budget
                 c = idf * row[3]
                 if self._decoded_bytes + c.nbytes > self._decoded_budget:
                     self._decoded.clear()
@@ -962,11 +1009,8 @@ class LocalSearcher:
         (score desc, doc_id asc). Docs whose every query term has
         df = N score 0.0 and still rank (ln(1) = 0 contributions)."""
         n = self._stats.num_documents
-        terms = []
-        for term in query_stems(query, self._stemmer, self._breaker):
-            sl = self._term_slice(term)
-            if sl is not None:
-                terms.append((term, *sl, math.log(n / self._df_of(term))))
+        terms = [(t, s, e, math.log(n / df)) for t, s, e, df in self._hits(
+            query_stems(query, self._stemmer, self._breaker))]
         return self._rank(
             terms, k, lambda idf, i, row: idf * (1.0 + np.log(row[1])))
 
@@ -983,15 +1027,10 @@ class LocalSearcher:
                 "statistics match neither the local nor the merged "
                 "oracle. Run QL against the merged index, or extend "
                 "set_global_stats with a global ctf table first.")
-        terms = []
-        for term, qtf in query_stem_counts(query, self._stemmer,
-                                           self._breaker):
-            sl = self._term_slice(term)
-            if sl is not None:
-                ctf = sum(int(self._decode_row(term, i)[1].sum())
-                          for i in range(*sl))
-                terms.append((term, *sl, (float(qtf), float(ctf))))
-        return terms
+        qtf = dict(query_stem_counts(query, self._stemmer, self._breaker))
+        return [(t, s, e, (float(qtf[t]), float(sum(
+            int(self._decode_row(i)[1].sum()) for i in range(s, e)))))
+            for t, s, e, _df in self._hits(qtf)]
 
     def query_likelihood(self, query, k: int = 10, mu: float = 2000.0
                          ) -> list[tuple[int, float]]:
@@ -1063,7 +1102,7 @@ class LocalSearcher:
         "terms": [{term, tf, df, dl, idf, tf_factor, contribution}]}``
         with terms ascending and ``score`` accumulated as the SAME
         left fold over ``idf * tf_factor`` the ranked scorer runs
-        (:meth:`bm25` scatter-adds per ascending term from 0.0), so
+        (:meth:`bm25` folds per ascending term from 0.0), so
         ``explain(q, d)["score"]`` is bit-identical to the score
         :meth:`bm25` would rank *d* with (pytest-pinned). A tombstoned
         doc raises — it can never appear in a ranking."""
@@ -1075,15 +1114,13 @@ class LocalSearcher:
         part = doc_id >> stats.doc_part_bits
         terms_out: list[dict] = []
         score = 0.0
-        for term in query_stems(query, self._stemmer, self._breaker):
-            sl = self._term_slice(term)
-            if sl is None:
-                continue
-            idf = self.idf(term)
-            for i in range(sl[0], sl[1]):
+        for term, s, e, df in self._hits(
+                query_stems(query, self._stemmer, self._breaker)):
+            idf = self._idf(df)
+            for i in range(s, e):
                 if self._part[i] != part:
                     continue
-                row = self._decode_row(term, i)
+                row = self._decode_row(i)
                 pos = int(np.searchsorted(row[0], doc_id))
                 if pos >= row[0].size or row[0][pos] != doc_id:
                     continue
@@ -1091,7 +1128,7 @@ class LocalSearcher:
                 terms_out.append({
                     "term": term,
                     "tf": int(row[1][pos]),
-                    "df": self._df_of(term),
+                    "df": df,
                     "dl": int(row[2][pos]),
                     "idf": float(idf),
                     "tf_factor": float(row[3][pos]),
@@ -1105,43 +1142,30 @@ class LocalSearcher:
 # -- Dataset-shaped one-off paths (no warm server) ----------------------
 
 
-def _load_rows_for_terms(index: BuiltIndex, stems: list[str]):
-    """Read only the posting rows for *stems*: bucket partitions prune the
-    file set, the term filter prunes row groups within them."""
-    if not stems:
-        return pa.table({"term": pa.array([], type=pa.string())})
-    buckets = sorted({term_bucket(s, index.stats.num_term_buckets)
-                      for s in stems})
-    dset = pads.dataset(index.postings_dir, partitioning="hive")
-    return dset.to_table(
-        filter=pc.field("bucket").isin(buckets) & pc.field("term").isin(stems),
-        columns=["term", "part", "df", "max_impact",
-                 "doc_ids_enc", "tfs_enc", "dls_enc"])
+def _term_searcher(index: BuiltIndex, terms, pinned_doc_ids=None
+                   ) -> LocalSearcher:
+    """A searcher over only the committed posting rows of *terms*:
+    bucket partitions prune the file set, the term filter prunes row
+    groups within them. Their df is complete, so scores equal a full
+    searcher's."""
+    buckets = {term_bucket(t, index.stats.num_term_buckets) for t in terms}
+    return LocalSearcher._over(index, read_postings(
+        index, buckets, pc.field("term").isin(list(terms))), pinned_doc_ids)
 
 
-def _drop_tombstoned(index: BuiltIndex, ids: np.ndarray) -> np.ndarray:
-    """Tombstone filter for the one-off (serverless) query paths."""
-    from .build import load_tombstones
-
-    tomb = load_tombstones(index.root)
-    if tomb.size == 0 or ids.size == 0:
-        return ids
-    dead = sorted_member_mask(tomb, ids)
-    return ids[~dead] if dead.any() else ids
+def postings_union(index: BuiltIndex, terms,
+                   pinned_doc_ids: set[int] | None = None) -> np.ndarray:
+    """One-off union straight off the Parquet index: ascending doc_ids
+    holding any of the exact *terms*, plus the pinned docs, tombstoned
+    docs dropped."""
+    s = _term_searcher(index, terms, pinned_doc_ids)
+    return s._union_vocab_rows(range(s._terms.n))
 
 
 def match_doc_ids(index: BuiltIndex, query,
                   pinned_doc_ids: set[int] | None = None) -> np.ndarray:
     """One-off boolean match straight off the Parquet index."""
-    stems = query_stems(query)
-    tbl = _load_rows_for_terms(index, stems)
-    arrays = [np.array(sorted(pinned_doc_ids), dtype=np.int64)] if pinned_doc_ids else []
-    if tbl.num_rows:
-        for buf in tbl["doc_ids_enc"].to_pylist():
-            arrays.append(plib.decode_doc_ids(buf))
-    if not arrays:
-        return np.empty(0, dtype=np.int64)
-    return _drop_tombstoned(index, np.unique(np.concatenate(arrays)))
+    return postings_union(index, query_stems(query), pinned_doc_ids)
 
 
 def highlight(query, text: str) -> str:
@@ -1193,36 +1217,6 @@ def match_dataset(index: BuiltIndex, corpus, query,
 def bm25_dataset(index: BuiltIndex, query, k: int = 10) -> list[tuple[int, float]]:
     """One-off BM25 top-k straight off the Parquet index (no warm
     searcher): reads only the query terms' posting rows via bucket + term
-    pushdown, then scores with the same left-fold term order as
-    :class:`LocalSearcher` — rank- and score-identical."""
-    if not check_k(k):
-        return []
-    stats = index.stats
-    stems = query_stems(query)
-    tbl = _load_rows_for_terms(index, stems)
-    if tbl.num_rows == 0:
-        return []
-    avgdl, k1, b = stats.avgdl, stats.k1, stats.b
-    n = stats.num_documents
-    # group rows per term (global df across parts first, for idf)
-    by_term: dict[str, list[int]] = {}
-    terms = tbl["term"].to_pylist()
-    for i, t in enumerate(terms):
-        by_term.setdefault(t, []).append(i)
-    scores: dict[int, float] = {}
-    for term in sorted(by_term):
-        rows = by_term[term]
-        df = sum(tbl["df"][i].as_py() for i in rows)
-        idf = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
-        for i in rows:
-            doc_ids = plib.decode_doc_ids(tbl["doc_ids_enc"][i].as_py())
-            tfs = plib.decode_varints(tbl["tfs_enc"][i].as_py()).astype(np.float64)
-            dls = plib.decode_varints(tbl["dls_enc"][i].as_py()).astype(np.float64)
-            contrib = idf * _tf_factor(tfs, dls, avgdl, k1, b)
-            for d, c in zip(doc_ids.tolist(), contrib.tolist()):
-                scores[d] = scores.get(d, 0.0) + c
-    from .build import load_tombstones
-    for d in load_tombstones(index.root).tolist():
-        scores.pop(d, None)
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[:k]
+    pushdown, then ranks them with :meth:`LocalSearcher.bm25` —
+    rank- and score-identical to a full searcher."""
+    return _term_searcher(index, query_stems(query)).bm25(query, k)

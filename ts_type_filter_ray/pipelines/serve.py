@@ -43,7 +43,7 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import ray
 
-from .build import BuiltIndex, sorted_member_mask
+from .build import BuiltIndex, read_postings, sorted_member_mask
 from .query import LocalSearcher, check_k, query_stems, top_k
 
 
@@ -54,8 +54,6 @@ def load_global_df(index: BuiltIndex) -> pa.Table:
     buckets, so concatenation + one sort is the global table); falls
     back to aggregating the full postings metadata for indexes built
     before the df files existed."""
-    import os
-
     pd_dir = index.postings_dir
     files: list[str] | None = []
     for d in sorted(os.listdir(pd_dir)):
@@ -69,8 +67,7 @@ def load_global_df(index: BuiltIndex) -> pa.Table:
     if files:
         return pads.dataset(files).to_table(
             columns=["term", "df"]).sort_by("term")
-    meta = pads.dataset(pd_dir, partitioning="hive").to_table(
-        columns=["term", "df"])
+    meta = read_postings(index, columns=["term", "df"])
     return (meta.group_by("term").aggregate([("df", "sum")])
             .rename_columns(["term", "df"]).sort_by("term"))
 
@@ -82,22 +79,9 @@ class _DocPartSearcher:
     @staticmethod
     def _part_searcher(index_root: str, parts: list[int],
                        pinned_doc_ids=None) -> LocalSearcher:
-        from .build import load_tombstones
-
         index = BuiltIndex.load(index_root)
-        s = LocalSearcher.__new__(LocalSearcher)
-        s._stats = index.stats
-        s._stemmer = None
-        s._breaker = None
-        s._pinned = np.array(sorted(pinned_doc_ids or ()), dtype=np.int64)
-        s._tomb = load_tombstones(index_root)  # delete_docs visibility
-        dset = pads.dataset(index.postings_dir, partitioning="hive")
-        tbl = dset.to_table(filter=pc.field("part").isin(parts),
-                            columns=["term", "part", "df", "max_impact",
-                                     "doc_ids_enc", "tfs_enc", "dls_enc"])
-        s._ingest(tbl)  # Arrow-native load (same path as LocalSearcher)
-        s._init_cache(warm_top_terms=0)
-        return s
+        return LocalSearcher._over(index, read_postings(
+            index, filter=pc.field("part").isin(parts)), pinned_doc_ids)
 
     def __init__(self, index_root: str, parts: list[int], df_ref,
                  pinned_doc_ids: list[int] | None = None,
@@ -167,17 +151,15 @@ class SearchService:
         df_tbl = load_global_df(index)
         df_ref = ray.put(df_tbl)
 
-        meta = pads.dataset(index.postings_dir, partitioning="hive").to_table(
-            columns=["part"])
-        part_set = set(meta["part"].to_pylist())
+        part_set = set(read_postings(index, columns=["part"])["part"]
+                       .to_pylist())
         if metadata_root is not None:
             # a partition whose docs are all content-empty still owns
             # metadata postings — assignment must cover the UNION of
             # both indexes' parts or field filters silently miss docs
-            mmeta = pads.dataset(
-                os.path.join(metadata_root, "postings"),
-                partitioning="hive").to_table(columns=["part"])
-            part_set |= set(mmeta["part"].to_pylist())
+            part_set |= set(read_postings(
+                BuiltIndex.load(metadata_root), columns=["part"])["part"]
+                .to_pylist())
         parts = sorted(part_set)
         num_actors = max(1, min(num_actors, len(parts)))
         assign = [parts[i::num_actors] for i in range(num_actors)]
@@ -261,16 +243,8 @@ class _TermBucketSearcher:
         """RAW ascending-unique doc union for the owned stems (no
         pinning/tombstones — the coordinator applies both once)."""
         s = self._searcher
-        arrays = []
-        for term in stems:
-            sl = s._term_slice(term)
-            if sl is None:
-                continue
-            for i in range(sl[0], sl[1]):
-                arrays.append(s._decode_row(term, i)[0])
-        if not arrays:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(arrays))
+        return s._union_vocab_rows_raw(
+            [vi for vi in map(s._terms.index, stems) if vi >= 0])
 
     def term_contributions(self, stems: list[str]
                            ) -> list[tuple[str, np.ndarray, np.ndarray]]:
@@ -283,13 +257,13 @@ class _TermBucketSearcher:
         s = self._searcher
         out = []
         for term in stems:
-            sl = s._term_slice(term)
+            sl = s._lookup(term)
             if sl is None:
                 continue
-            idf = s.idf(term)
+            idf = s._idf(sl[2])
             docs, contribs = [], []
             for i in range(sl[0], sl[1]):
-                row = s._decode_row(term, i)
+                row = s._decode_row(i)
                 docs.append(row[0])
                 contribs.append(idf * row[3])
             out.append((term, np.concatenate(docs),

@@ -61,7 +61,7 @@ import pyarrow.parquet as pq
 
 from .build import BuiltIndex
 from .fuzzy import _variant_buckets, _vocab_fingerprint
-from .query import _load_rows_for_terms, _drop_tombstoned
+from .query import postings_union
 
 __all__ = ["term_trigrams", "build_trigram_index",
            "trigram_candidate_terms", "match_contains_indexed",
@@ -238,23 +238,6 @@ def trigram_candidate_terms(root: str, infix: str) -> list[str]:
     return sorted(cand.filter(keep).to_pylist())
 
 
-def _postings_union(index: BuiltIndex, terms: list[str]) -> np.ndarray:
-    """Ascending unique doc_ids holding ANY of *terms*, tombstones
-    dropped — the shared tail of every indexed dictionary-predicate
-    match (same shape as ``fuzzy.match_fuzzy_indexed``)."""
-    from ..state import postings as plib
-
-    if not terms:
-        return np.empty(0, dtype=np.int64)
-    tbl = _load_rows_for_terms(index, terms)
-    arrays = [plib.decode_doc_ids(buf)
-              for buf in tbl["doc_ids_enc"].to_pylist()] if tbl.num_rows \
-        else []
-    if not arrays:
-        return np.empty(0, dtype=np.int64)
-    return _drop_tombstoned(index, np.unique(np.concatenate(arrays)))
-
-
 def match_contains_indexed(index: BuiltIndex, infix: str) -> np.ndarray:
     """'*infix*' wildcard match answered entirely from persisted
     artifacts: trigram probes → verified candidate terms → bucket+term
@@ -262,7 +245,7 @@ def match_contains_indexed(index: BuiltIndex, infix: str) -> np.ndarray:
     ``LocalSearcher.match_contains`` for len ≥ 3 (pytest-pinned)."""
     if not infix:
         return np.empty(0, dtype=np.int64)
-    return _postings_union(
+    return postings_union(
         index, trigram_candidate_terms(index.root, infix))
 
 
@@ -375,4 +358,4 @@ def match_regex_indexed(index: BuiltIndex, pattern: str) -> np.ndarray:
     arr = pa.array(cand, type=pa.string())
     keep = pc.match_substring_regex(arr, pattern=pattern)
     terms = arr.filter(keep).to_pylist()
-    return _postings_union(index, terms)
+    return postings_union(index, terms)
