@@ -102,6 +102,49 @@ def test_curation_pipeline(ray_session, tmp_path):
     assert out.num_rows == 2
 
 
+_TWO_CPU_CURATE = """
+import sys
+import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         logging_level="ERROR")
+import ray.data as rd
+from ts_type_filter_ray.pipelines.curation import curate
+d = sys.argv[1]
+rng = np.random.default_rng(5)
+words = [f"w{i}" for i in range(400)]
+texts = [" ".join(rng.choice(words, 60)) for _ in range(150)]
+texts += [t + " tail" for t in texts[:20]] + texts[:10]
+pq.write_table(pa.table({"doc_id": np.arange(len(texts)),
+                         "text": texts}), f"{d}/docs.parquet")
+_, report = curate(rd.read_parquet(d), keep_langs=("en", "und"))
+print(report["input"], report["dropped_exact_dup"], report["kept"])
+"""
+
+
+def test_curation_finishes_on_two_cpus(tmp_path):
+    """The curation pipeline must not deadlock when only two CPUs are
+    free: its near-dup and exact-dup side datasets read the corpus and
+    shuffle, and while a MinHash actor pool and the base-verdict actor
+    pool held CPUs in the same execution, those tasks never ran (a
+    one-file corpus hung here; the subprocess time limit turns a hang
+    into a failure)."""
+    import os
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=repo)
+    out = subprocess.run(
+        [sys.executable, "-c", _TWO_CPU_CURATE, str(tmp_path)], cwd=repo,
+        env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    # 150 distinct docs, 20 near copies and 10 exact copies of them
+    assert out.stdout.split()[-3:] == ["180", "10", "150"]
+
+
 def test_tf_cosine_pairs_matches_duckdb(ray_session):
     """Exact all-pairs tf-cosine vs a DuckDB oracle (value-level,
     including the float cosine — all-integer dot/norms, one final

@@ -19,6 +19,7 @@ Shapes (all Ray-Data-first, per the guide's dedup patterns):
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -311,7 +312,7 @@ class _PermWorkspace:
     batches — ZERO steady-state allocation. This matters doubly on this
     host: glibc mmaps (and returns to the OS) every >128 KB temporary
     until its threshold adapts, so the naive allocating kernel paid a
-    page-fault storm on each actor's first batches, and the buffers stay
+    page-fault storm on each worker's first batches, and the buffers stay
     L2-resident at the 32k-element chunk size."""
 
     def __init__(self, n: int):
@@ -372,10 +373,10 @@ class _PermWorkspace:
 
 
 class MinHashStage:
-    """Actor-pool stage: text → num_perm-wide MinHash signature.
+    """Batch stage: text → num_perm-wide MinHash signature.
 
     Permutations ``h_i(x) = (a_i * x + b_i) mod p`` with seeded a/b built
-    once per actor; the per-batch work is chunked vectorized uint64
+    once per instance; the per-batch work is chunked vectorized uint64
     kernels over a preallocated workspace (no per-row Python, no
     steady-state allocation).
     """
@@ -386,7 +387,7 @@ class MinHashStage:
         self._b = rng.integers(0, _MERSENNE, size=num_perm, dtype=np.uint64)
         self._k = shingle_k
         self._num_perm = num_perm
-        # lazily-sized per-actor scratch (reused across batches)
+        # lazily-sized scratch (reused across batches)
         self._ws: _PermWorkspace | None = None
         self._vals: np.ndarray | None = None
         self._hs_buf: np.ndarray | None = None
@@ -471,11 +472,26 @@ class MinHashStage:
         })
 
 
-def minhash_signatures(ds: Dataset, num_perm: int = 64, shingle_k: int = 3,
-                       concurrency=(1, 8)) -> Dataset:
-    return ds.map_batches(MinHashStage,
-                          fn_constructor_args=(num_perm, shingle_k),
-                          batch_format="pyarrow", concurrency=concurrency)
+@functools.lru_cache(maxsize=None)
+def _minhash_stage(num_perm: int, shingle_k: int) -> MinHashStage:
+    # one stage (and its scratch) per worker process, reused by every
+    # task the process runs
+    return MinHashStage(num_perm, shingle_k)
+
+
+def _minhash_batch(batch: pa.Table, num_perm: int,
+                   shingle_k: int) -> pa.Table:
+    return _minhash_stage(num_perm, shingle_k)(batch)
+
+
+def minhash_signatures(ds: Dataset, num_perm: int = 64,
+                       shingle_k: int = 3) -> Dataset:
+    """(doc_id, sig) per doc. A task stage, not an actor pool: the
+    near-dup pipelines read the corpus twice and shuffle, and an actor
+    pool's reserved CPUs starved those tasks (``curate`` hung on a
+    3-CPU cluster and ``minhash_dedup_pairs`` on a 2-CPU one)."""
+    return ds.map_batches(_minhash_batch, fn_args=(num_perm, shingle_k),
+                          batch_format="pyarrow")
 
 
 def _segment_index_pairs(band: np.ndarray, bhash: np.ndarray,

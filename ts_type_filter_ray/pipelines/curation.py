@@ -134,11 +134,15 @@ def curate(docs: Dataset, *,
         fn_constructor_args=(min_tokens, max_stopword_ratio, keep_langs),
         batch_format="pyarrow", concurrency=(1, 8))
 
-    losers = exact_dup_losers(docs, num_parts)
+    # the two small side datasets run to the object store first, each
+    # with the whole cluster: executed inside the union below, their
+    # reads and shuffles waited on CPUs held by the base stage's actor
+    # pool and the pipeline hung on a 3-CPU cluster
+    losers = exact_dup_losers(docs, num_parts).materialize()
     near_drops = (dedup.minhash_dedup_pairs(docs,
                                             threshold=jaccard_threshold)
                   .groupby("id_b").aggregate(Count(alias_name="n"))
-                  .select_columns(["id_b"]))
+                  .select_columns(["id_b"])).materialize()
 
     def marker(kind: int, id_col: str):
         def fn(batch: pa.Table) -> pa.Table:
