@@ -39,6 +39,9 @@ class Faults:
     """In-process fault injection. ``arm(module, "os.replace", n)``
     makes the n-th call of ``os.replace`` made from *module* raise
     :class:`InjectedFault`; only that module's view of ``os`` changes.
+    With ``tear=True`` the n-th call of a file writer (the path is its
+    second argument) runs, then its file is cut to half its bytes before
+    the fault raises: a write that died midway.
     A fault reaches code in this process only, so ``inline_waves()``
     runs the bucket waves of both index kinds here, calling the bucket
     task functions directly instead of as Ray tasks. ``undo()`` restores
@@ -47,7 +50,7 @@ class Faults:
     def __init__(self):
         self._mp = pytest.MonkeyPatch()
 
-    def arm(self, module, step: str, n: int = 1) -> None:
+    def arm(self, module, step: str, n: int = 1, tear: bool = False) -> None:
         owner, name = step.split(".")
         real = getattr(module, owner)
         real_fn = getattr(real, name)
@@ -57,6 +60,9 @@ class Faults:
             nonlocal calls
             calls += 1
             if calls == n:
+                if tear:
+                    real_fn(*args, **kwargs)
+                    os.truncate(args[1], os.path.getsize(args[1]) // 2)
                 raise InjectedFault(f"{step} call {n} in {module.__name__}")
             return real_fn(*args, **kwargs)
 

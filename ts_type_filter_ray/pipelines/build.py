@@ -37,7 +37,10 @@ either kind swaps each bucket through ``.compact.tmp``; a swap a crash
 interrupted after its commit point is finished by the next load of the
 index (``_finish_swaps``). Every main-index writer ends in the one
 atomic ``stats.json`` commit (``_commit``), so a failed write leaves the
-previous stats readable.
+previous stats readable. Every Parquet file of either index (segments,
+``_df.parquet``, docs shards, tombstones) is written by
+``state/index_file.write_index_table``: tmp → rename, zstd, dictionaries
+only on repeating columns, statistics only on filter keys.
 
 Index root layout (Parquet + one JSON):
   root/docs/*.parquet     root/postings/bucket=*/merged.parquet
@@ -55,7 +58,6 @@ import functools
 import json
 import os
 import shutil
-import threading
 import time
 from dataclasses import dataclass
 
@@ -70,6 +72,7 @@ from ..oracle.index import BM25_B, BM25_K1
 from ..stages.tokenizer import (DEFAULT_DOC_PART_BITS, TokenizePartials,
                                 merge_bucket_table)
 from ..state import postings as plib
+from ..state.index_file import write_index_table
 from ..state.postings import term_bucket  # noqa: F401  (re-export for query)
 from ..state.spill import SpillDatasink, read_spill, spill_files
 
@@ -402,11 +405,12 @@ def _bucket_dirs(postings_dir: str) -> list[str]:
 
 def _docs_from_meta_files(srcs: list[str], dest: str) -> tuple[int, int]:
     """One docs-table shard: a bundle of meta spill files → one docs
-    parquet file. Returns (n_docs, total_doc_len) for the reduce."""
+    parquet file, published atomically. Returns (n_docs, total_doc_len)
+    for the reduce."""
     from ..stages.tokenizer import meta_rows_to_docs
 
     docs = meta_rows_to_docs(read_spill(srcs))
-    pq.write_table(docs, dest)
+    write_index_table(docs, dest)
     dl = pc.sum(docs["doc_len"]).as_py() or 0
     return docs.num_rows, int(dl)
 
@@ -541,15 +545,14 @@ def _write_bucket(dest: str, table: pa.Table,
     segments live (readers skip dot files); after it, the next load or
     compaction finishes the swap."""
     os.makedirs(dest, exist_ok=True)
-    tmp = os.path.join(dest, _SWAP_TMP if swap else f".{file_name}.tmp")
-    pq.write_table(table, tmp)
     if swap:
+        write_index_table(table, os.path.join(dest, _SWAP_TMP))
         for f in os.listdir(dest):
             if f.startswith("_SUCCESS"):
                 os.remove(os.path.join(dest, f))
         _finish_swap(dest)
     else:
-        os.replace(tmp, os.path.join(dest, file_name))
+        write_index_table(table, os.path.join(dest, file_name))
         open(_marker(dest, file_name), "w").close()
     return _count_one_bucket(dest, (file_name, table))
 
@@ -695,15 +698,12 @@ def _write_bucket_df(dest: str, term_df: pa.Table) -> pa.Table:
     column-pruned instead of rebuilding a vocab-sized Python dict from
     the full postings metadata (VERDICT r3 #5). The ``_`` prefix keeps
     the file invisible to the hive-partitioned postings dataset scan.
-    Atomic (a tmp unique to the process and thread + rename) and
-    idempotent — concurrent recounts of the same bucket write identical
-    bytes. Returns the written table."""
+    Atomic (``write_index_table``'s tmp is unique to the process and
+    thread) and idempotent — concurrent recounts of the same bucket
+    write identical bytes. Returns the written table."""
     agg = (term_df.group_by("term").aggregate([("df", "sum")])
            .rename_columns(["term", "df"]).sort_by("term"))
-    tmp = os.path.join(dest,
-                       f"._df.{os.getpid()}.{threading.get_ident()}.tmp")
-    pq.write_table(agg, tmp)
-    os.replace(tmp, os.path.join(dest, "_df.parquet"))
+    write_index_table(agg, os.path.join(dest, "_df.parquet"))
     return agg
 
 
@@ -789,10 +789,8 @@ def delete_docs(root: str, doc_ids) -> BuiltIndex:
     tdir = os.path.join(root, "tombstones")
     os.makedirs(tdir, exist_ok=True)
     gen = len([f for f in os.listdir(tdir) if f.endswith(".parquet")])
-    tmp = os.path.join(tdir, f".gen_{gen}.{os.getpid()}.tmp")
-    pq.write_table(pa.table({"doc_id": pa.array(ids, type=pa.int64())}),
-                   tmp)
-    os.replace(tmp, os.path.join(tdir, f"gen_{gen:05d}.parquet"))
+    write_index_table(pa.table({"doc_id": pa.array(ids, type=pa.int64())}),
+                      os.path.join(tdir, f"gen_{gen:05d}.parquet"))
     return idx
 
 
@@ -830,7 +828,7 @@ def _purge_one_docs_shard(path: str, tombs) -> tuple[int, int]:
                               tbl["doc_id"].to_numpy(zero_copy_only=False))
     if dead.any():
         tbl = tbl.filter(~dead)
-    pq.write_table(tbl, path + ".purge.tmp")
+    write_index_table(tbl, path + ".purge.tmp")
     dl = pc.sum(tbl["doc_len"]).as_py() or 0
     return tbl.num_rows, int(dl)
 
@@ -941,11 +939,12 @@ def maybe_compact(root: str, *, max_segments: int = 4,
 
 
 def _shift_docs_shard(src: str, dest: str, offset: int) -> None:
-    """Copy one docs shard with ``doc_id += offset`` (shard-merge path)."""
+    """Copy one docs shard with ``doc_id += offset`` (shard-merge path),
+    atomically."""
     tbl = pq.read_table(src)
     i = tbl.schema.get_field_index("doc_id")
     tbl = tbl.set_column(i, "doc_id", pc.add(tbl["doc_id"], offset))
-    pq.write_table(tbl, dest)
+    write_index_table(tbl, dest)
 
 
 def _merge_shards_one_bucket(srcs: list[tuple[str, int]], dest: str,

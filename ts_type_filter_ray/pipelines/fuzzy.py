@@ -44,6 +44,7 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
+from ..state.index_file import write_index_table
 from ..text.hashvec import md5_lower64_strings
 from .build import BuiltIndex
 from .query import _lev_within, postings_union
@@ -129,8 +130,8 @@ def _emit_one_bucket(postings_dir: str, bucket: int, max_dist: int,
         # min/max statistics turn a `variant IN (...)` probe into a few
         # row-group reads instead of a full-file scan (measured 2.4 s →
         # ~10 ms per probe at a 4M-variant artifact with 1M-row groups)
-        pq.write_table(sub, os.path.join(d, f"src={bucket}.parquet"),
-                       row_group_size=4096)
+        write_index_table(sub, os.path.join(d, f"src={bucket}.parquet"),
+                          filter_keys=("variant",), row_group_size=4096)
     return len(variants)
 
 
@@ -165,9 +166,8 @@ def merge_bucket_spills(d: str, sort_col: str) -> int:
     tbl = pads.dataset(inputs).to_table()
     tbl = tbl.group_by(tbl.column_names).aggregate([])  # full-row dedup
     tbl = tbl.take(pc.sort_indices(tbl[sort_col]))
-    tmp = os.path.join(d, ".merged.tmp")
-    pq.write_table(tbl, tmp, row_group_size=4096)
-    os.replace(tmp, merged)
+    write_index_table(tbl, merged, filter_keys=(sort_col,),
+                      row_group_size=4096)
     for f in srcs:
         os.remove(os.path.join(d, f))
     return tbl.num_rows

@@ -39,6 +39,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from ..state.index_file import write_index_table
+
 __all__ = ["build_numeric_index", "NumericIndex"]
 
 _ROW_GROUP = 4096
@@ -86,8 +88,8 @@ class _SortedWriter:
         batch = batch.select(self._cols)
         name = f"part-{uuid.uuid4().hex}.parquet"
         path = os.path.join(self._dir, name)
-        pq.write_table(batch, path + ".tmp", row_group_size=_ROW_GROUP)
-        os.replace(path + ".tmp", path)
+        write_index_table(batch, path, filter_keys=(self._key,),
+                          row_group_size=_ROW_GROUP)
         col = batch[self._key]
         return pa.table({
             "file": pa.array([name], type=pa.string()),

@@ -59,6 +59,7 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
+from ..state.index_file import write_index_table
 from .build import BuiltIndex
 from .fuzzy import _variant_buckets, _vocab_fingerprint
 from .query import postings_union
@@ -119,8 +120,8 @@ def _emit_one_bucket(postings_dir: str, bucket: int, num_gbuckets: int,
         sub = out.filter(pa.array(gb == b))
         d = os.path.join(out_dir, f"gbucket={int(b)}")
         os.makedirs(d, exist_ok=True)
-        pq.write_table(sub, os.path.join(d, f"src={bucket}.parquet"),
-                       row_group_size=4096)
+        write_index_table(sub, os.path.join(d, f"src={bucket}.parquet"),
+                          filter_keys=("gram",), row_group_size=4096)
     return len(grams)
 
 
