@@ -8,8 +8,9 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
+from ts_type_filter_ray.functions import bpe
 from ts_type_filter_ray.functions.bpe import (
-    END, _apply_merge, _train_merges, encode_token_counts, encode_word,
+    END, _apply_merge, _train_local, encode_token_counts, encode_word,
     pair_counts, train_bpe, word_count_table)
 
 
@@ -57,13 +58,20 @@ def naive_encode(word, merges):
         s = s[:i] + [s[i] + s[i + 1]] + s[i + 2:]
 
 
+def train_local(words, counts, n_merges):
+    """The merge loop over one in-process shard."""
+    return _train_local(pa.table({"term": pa.array(words, pa.string()),
+                                  "n": pa.array(counts, pa.int64())}),
+                        n_merges)
+
+
 WORDS = ["banana", "bandana", "ana", "nab", "abba", "a", "zebra",
          "cabana", "bananas"]
 COUNTS = [5, 3, 7, 2, 1, 10, 4, 2, 6]
 
 
 def test_incremental_trainer_matches_naive():
-    got = _train_merges(WORDS, COUNTS, 25)
+    got = train_local(WORDS, COUNTS, 25)
     want = naive_train(WORDS, COUNTS, 25)
     assert got == want
     assert len(got) > 5  # really merged something
@@ -78,13 +86,13 @@ def test_trainer_fuzz_matches_naive():
         vocab = sorted(set(vocab))
         counts = [rng.randint(1, 9) for _ in vocab]
         n = rng.randint(1, 15)
-        assert _train_merges(vocab, counts, n) == \
+        assert train_local(vocab, counts, n) == \
             naive_train(vocab, counts, n), (trial, vocab, counts, n)
 
 
 def test_trainer_exhausts_gracefully():
     # single 1-char word: only pair is (a, </w>) → exactly one merge
-    got = _train_merges(["a"], [3], 10)
+    got = train_local(["a"], [3], 10)
     assert [m["left"] + m["right"] for m in got] == ["a" + END]
 
 
@@ -102,7 +110,7 @@ def test_overlapping_pair_merge():
     # "aaa" has pair (a, a) twice; greedy left-to-right → [aa, a, </w>]
     assert _apply_merge(list("aaa") + [END], "a", "a", "aa") == \
         ["aa", "a", END]
-    got = _train_merges(["aaaa"], [1], 1)
+    got = train_local(["aaaa"], [1], 1)
     assert got[0]["pair_count"] == 3  # multiset pair accounting
 
 
@@ -182,8 +190,15 @@ def test_encode_trained_matches_naive(ray_session):
         assert out[row["doc_id"]] == want
 
 
-def test_sharded_trainer_bit_identical(ray_session):
-    from ts_type_filter_ray.functions.bpe import train_bpe_sharded
+def _both_placements(ds, n_merges, monkeypatch):
+    """train_bpe with its words in the driver, then in shard actors
+    (the distinct-word bound lowered to 0)."""
+    local = train_bpe(ds, n_merges).to_pandas()
+    monkeypatch.setattr(bpe, "LOCAL_TRAIN_MAX_WORDS", 0)
+    return local, train_bpe(ds, n_merges).to_pandas()
+
+
+def test_sharded_trainer_bit_identical(ray_session, monkeypatch):
     rng = np.random.default_rng(4)
     words = ["low", "lower", "newest", "widest", "the", "then", "than",
              "loly", "lowest", "newer"]
@@ -192,19 +207,17 @@ def test_sharded_trainer_bit_identical(ray_session):
     ds = rd.from_arrow(pa.table({
         "doc_id": pa.array(np.arange(300, dtype=np.int64)),
         "text": pa.array(docs)}))
-    a = train_bpe(ds, 15).to_pandas()
-    b = train_bpe_sharded(ds, 15).to_pandas()
+    a, b = _both_placements(ds, 15, monkeypatch)
     assert len(a) == len(b)
     for c in a.columns:
         assert (a[c].to_numpy() == b[c].to_numpy()).all(), c
 
 
-def test_sharded_trainer_wide_vocabulary(ray_session):
+def test_sharded_trainer_wide_vocabulary(ray_session, monkeypatch):
     """Many distinct words spread over many shards (num_parts floor is
     16): the driver folds only pair deltas; state lives in the shard
-    actors. Bit-identity with the single-process trainer over a
+    actors. Bit-identity with the in-process placement over a
     30k-distinct-word synthetic vocabulary."""
-    from ts_type_filter_ray.functions.bpe import train_bpe_sharded
     rng = np.random.default_rng(9)
     alphabet = "abcdefgh"
     vocab = list({"".join(rng.choice(list(alphabet),
@@ -215,8 +228,21 @@ def test_sharded_trainer_wide_vocabulary(ray_session):
     ds = rd.from_arrow(pa.table({
         "doc_id": pa.array(np.arange(800, dtype=np.int64)),
         "text": pa.array(docs)}))
-    a = train_bpe(ds, 8).to_pandas()
-    b = train_bpe_sharded(ds, 8).to_pandas()
+    a, b = _both_placements(ds, 8, monkeypatch)
     assert len(a) == len(b) > 0
     for c in a.columns:
         assert (a[c].to_numpy() == b[c].to_numpy()).all(), c
+
+
+def test_actor_placement_skips_empty_word_blocks(ray_session, monkeypatch):
+    """Two distinct words over four input blocks: the word-count
+    groupby emits blocks with no rows and no columns; such a block has
+    no ``term`` column to build a shard actor from."""
+    texts = ["aa bb", "bb aa aa", "aa", "bb bb"]
+    ds = rd.from_arrow([pa.table({
+        "doc_id": pa.array([i], type=pa.int64()),
+        "text": pa.array([t])}) for i, t in enumerate(texts)])
+    wc = _global_word_counts(texts)
+    want = naive_train(sorted(wc), [wc[w] for w in sorted(wc)], 5)
+    monkeypatch.setattr(bpe, "LOCAL_TRAIN_MAX_WORDS", 0)
+    assert train_bpe(ds, 5, num_parts=4).to_pylist() == want

@@ -151,6 +151,72 @@ def test_uncommitted_segment_stays_invisible(corpora, tmp_path, ray_session,
         assert actor.match(q).tolist() == ids, q
 
 
+@pytest.fixture(scope="module")
+def uncommitted_root(corpora, tmp_path_factory, ray_session):
+    """An index whose extension wrote its segment files, then failed to
+    commit stats.json."""
+    from conftest import Faults, InjectedFault
+
+    from ts_type_filter_ray.pipelines import build
+
+    a, b, _, _ = corpora
+    root = str(tmp_path_factory.mktemp("uncommitted") / "idx")
+    build_index(read_corpus(a), root)
+    faults = Faults()
+    faults.arm(build, "json.dump")
+    with pytest.raises(InjectedFault):
+        extend_index(root, read_corpus(b))
+    faults.undo()
+    assert glob.glob(os.path.join(root, "postings", "*", "segment_1.*"))
+    return root
+
+
+def _derived_rows(reader: str, root: str):
+    """(term, doc_id) columns a derived reader built from *root*; doc_id
+    is None for the vocabulary-only artifacts."""
+    import pyarrow.parquet as pq
+
+    from ts_type_filter_ray.pipelines import forward, fuzzy, trigram
+    from ts_type_filter_ray.pipelines.build import export_postings
+
+    if reader == "export_postings":
+        t = export_postings(root).to_pandas()
+        return t["term"], t["doc_id"]
+    build = {"forward": forward.build_forward_index,
+             "fuzzy": fuzzy.build_fuzzy_index,
+             "trigram": trigram.build_trigram_index}[reader]
+    files = glob.glob(os.path.join(build(root), "**", "*.parquet"),
+                      recursive=True)
+    t = pq.ParquetDataset(files).read().to_pandas()
+    return t["term"], t["doc_id"] if reader == "forward" else None
+
+
+@pytest.mark.parametrize("reader", ["export_postings", "forward", "fuzzy",
+                                    "trigram"])
+def test_uncommitted_segment_invisible_to_derived_readers(
+        reader, uncommitted_root, ray_session):
+    """The readers that derive a dump or a side index from the postings
+    list only the segments stats.json counts: after a failed extend
+    commit they hold no id at or past N and no term outside the
+    committed vocabulary."""
+    from ts_type_filter_ray.pipelines.build import read_postings
+    from ts_type_filter_ray.pipelines.forward import ForwardIndex
+
+    idx = BuiltIndex.load(uncommitted_root)
+    n = idx.stats.num_documents
+    vocab = set(read_postings(idx, columns=["term"])["term"].to_pylist())
+    if reader == "trigram":  # a term under 3 codepoints has no gram
+        vocab = {t for t in vocab if len(t) >= 3}
+    terms, doc_ids = _derived_rows(reader, uncommitted_root)
+    assert set(terms) == vocab
+    if doc_ids is not None:
+        assert len(doc_ids) == idx.stats.num_postings
+        assert doc_ids.max() == n - 1
+    if reader == "forward":
+        with pytest.raises(KeyError):
+            ForwardIndex(uncommitted_root).term_vectors([n])
+
+
 def test_persisted_df_tracks_extend_and_compact(corpora, tmp_path,
                                                 ray_session):
     """The per-bucket ``_df.parquet`` written at merge time must stay

@@ -328,7 +328,7 @@ def test_embedding_near_dup_pruned_still_exact(ray_session):
     assert got == want and len(want) >= 12
 
 
-def test_revenue_by_nation_shuffle_fallback(ray_session):
+def test_revenue_by_nation_shuffle_fallback(ray_session, monkeypatch):
     """A dimension over the broadcast size contract must take the
     distributed union-shuffle join and produce the identical result."""
     from ts_type_filter_ray.functions import relational
@@ -336,9 +336,10 @@ def test_revenue_by_nation_shuffle_fallback(ray_session):
         (r["n_name"], r["n_orders"], r["revenue_c"]) for r in
         relational.revenue_by_nation(SF).take_all())
     # force the fallback: contract of 0 rows → every dimension is "big"
+    monkeypatch.setattr(relational, "MAX_BROADCAST_DIM_ROWS", 0)
     shuf = sorted(
         (r["n_name"], r["n_orders"], r["revenue_c"]) for r in
-        relational.revenue_by_nation(SF, max_broadcast_rows=0).take_all())
+        relational.revenue_by_nation(SF).take_all())
     assert broad == shuf and len(broad) > 0
 
 

@@ -174,7 +174,7 @@ def _cc_pair(n, pairs, **kw):
                                   dtype=np.int64)),
         "id_b": pa.array(np.array([b for a, b in pairs],
                                   dtype=np.int64))}))
-    got = (connected_components(nodes, edges, algorithm="star", **kw)
+    got = (connected_components(nodes, edges, **kw)
            .to_pandas().sort_values("doc_id").reset_index(drop=True))
     assert len(got) == n
     assert (got["component"].to_numpy() == _uf_labels(n, pairs)).all()
@@ -202,23 +202,11 @@ def test_star_cc_loops_dups_cliques(ray_session):
 
 
 def test_star_cc_matches_minlabel(ray_session):
-    from ts_type_filter_ray.functions.graph import connected_components
+    # sparse random graph: many small components plus isolated nodes
     rng = np.random.default_rng(11)
     n = 300
-    pairs = [(int(rng.integers(0, n)), int(rng.integers(0, n)))
-             for _ in range(200)]
-    nodes = rd.from_arrow(pa.table({
-        "doc_id": pa.array(np.arange(n, dtype=np.int64))}))
-    edges = rd.from_arrow(pa.table({
-        "id_a": pa.array(np.array([a for a, b in pairs],
-                                  dtype=np.int64)),
-        "id_b": pa.array(np.array([b for a, b in pairs],
-                                  dtype=np.int64))}))
-    a = (connected_components(nodes, edges)
-         .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    b = (connected_components(nodes, edges, algorithm="star")
-         .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    assert (a["component"].to_numpy() == b["component"].to_numpy()).all()
+    _cc_pair(n, [(int(rng.integers(0, n)), int(rng.integers(0, n)))
+                 for _ in range(200)])
 
 
 def test_auto_state_mode(graph, monkeypatch):

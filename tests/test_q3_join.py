@@ -80,7 +80,8 @@ def test_empty_segment(ray_session, q3_dir):
     assert got.num_rows == 0
 
 
-def test_revenue_rollup_levels_consistent(ray_session, tmp_path):
+def test_revenue_rollup_levels_consistent(ray_session, tmp_path,
+                                          monkeypatch):
     """The shuffle path (forced tiny broadcast contract) must equal the
     broadcast path, and super-aggregates must equal their children."""
     import duckdb
@@ -112,8 +113,10 @@ def test_revenue_rollup_levels_consistent(ray_session, tmp_path):
             np.round(rng.uniform(10, 1000, n_ord), 2)),
     }), f"{d}/orders.parquet")
 
+    from ts_type_filter_ray.functions import relational
     bc = revenue_rollup(d).take_all()
-    sh = revenue_rollup(d, max_broadcast_rows=1).take_all()
+    monkeypatch.setattr(relational, "MAX_BROADCAST_DIM_ROWS", 1)
+    sh = revenue_rollup(d).take_all()
     assert bc == sh
 
     con = duckdb.connect()

@@ -1,6 +1,5 @@
 """Property tests for the r5 pure kernels (no Ray): the salted-LM
-hot-key membership helper, the star-CC convergence signature, and the
-BPE shard delta-table round trip."""
+hot-key membership helper and the star-CC convergence signature."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -52,13 +51,3 @@ def test_pair_signature_detects_single_flip(pairs):
     # splitmix — effectively impossible on this domain
     assert a[0] == b[0]
     assert a != b
-
-
-def test_delta_table_round_trip():
-    from ts_type_filter_ray.functions.bpe import _delta_table
-    acc = {("a", "b"): 3, ("b", "</w>"): -2, ("x", "y"): 1}
-    t = _delta_table(acc)
-    back = {(l, r): d for l, r, d in zip(t["left"].to_pylist(),
-                                         t["right"].to_pylist(),
-                                         t["d"].to_pylist())}
-    assert back == acc

@@ -186,19 +186,22 @@ def test_longest_repeat_single_char_overlap(ray_session):
     assert got["longest_repeat"][0] == 1
 
 
-def test_lcp_shuffle_path_equals_broadcast(ray_session):
-    # broadcast_rows=0 forces the distributed gather/apply exchanges;
-    # results must be identical to the broadcast-probe path
+def test_lcp_shuffle_path_equals_broadcast(ray_session, monkeypatch):
+    # a broadcast bound of 0 forces the distributed gather/apply
+    # exchanges; results must be identical to the broadcast-probe path
+    from ts_type_filter_ray.functions import suffix
     want = suffix_lcp(_ds(CORPUS), stride=4).to_pandas()
-    got = suffix_lcp(_ds(CORPUS), stride=4,
-                     broadcast_rows=0).to_pandas()
+    monkeypatch.setattr(suffix, "DESCEND_BROADCAST_ROWS", 0)
+    got = suffix_lcp(_ds(CORPUS), stride=4).to_pandas()
     assert list(got["pos"]) == list(want["pos"])
     assert list(got["lcp"]) == list(want["lcp"])
 
 
-def test_longest_repeat_shuffle_path(ray_session):
+def test_longest_repeat_shuffle_path(ray_session, monkeypatch):
+    from ts_type_filter_ray.functions import suffix
     want = longest_repeat(_ds(CORPUS)).to_pandas()
-    got = longest_repeat(_ds(CORPUS), broadcast_rows=0).to_pandas()
+    monkeypatch.setattr(suffix, "DESCEND_BROADCAST_ROWS", 0)
+    got = longest_repeat(_ds(CORPUS)).to_pandas()
     assert got["longest_repeat"][0] == want["longest_repeat"][0]
 
 

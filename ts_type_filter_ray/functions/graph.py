@@ -1,13 +1,11 @@
 """Graph operators over Ray Datasets with dense int64 node ids.
 
-* Connected components: :func:`connected_components` (hash-to-min label
-  propagation — Rastogi et al., ICDE 2013 — one round per hop of
-  diameter) and :func:`connected_components_star` (alternating
-  Large-Star / Small-Star rounds, O(log n) rounds whatever the
-  diameter). They turn the dedup family's PAIR output into CLUSTERS;
-  :func:`cluster_canonicals` then picks each cluster's representative.
-  Per-round state is one (node, label) row per node, materialized
-  between rounds so Ray does not re-execute the lineage per iteration.
+* Connected components: :func:`connected_components` (alternating
+  Large-Star / Small-Star rounds — Kiveris et al., SoCC 2014 — O(log n)
+  rounds whatever the diameter). It turns the dedup family's PAIR
+  output into CLUSTERS; :func:`cluster_canonicals` then picks each
+  cluster's representative. The edge set is materialized between
+  rounds so Ray does not re-execute the lineage per iteration.
 * Iterative vertex programs: :func:`pagerank`, :func:`hits`,
   :func:`bfs_hops`, :func:`label_propagation`, :func:`shortest_paths`
   and :func:`kcore` all run on one driver — message from each edge's
@@ -39,136 +37,6 @@ def _fold_arrays(ds: Dataset):
     for batch in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
         yield {c: batch[c].to_numpy(zero_copy_only=False)
                for c in batch.column_names}
-
-
-def connected_components(nodes: Dataset, edges: Dataset,
-                         node_col: str = "doc_id",
-                         a_col: str = "id_a", b_col: str = "id_b",
-                         max_iters: int = 50,
-                         num_parts: int | None = None,
-                         algorithm: str = "minlabel") -> Dataset:
-    """(node_col, component) for every node — ``component`` is the
-    minimum node id of the node's connected component (isolated nodes
-    map to themselves). *edges* is undirected pairs; self-loops and
-    duplicates are harmless.
-
-    Convergence: plain min-label propagation — the minimum travels one
-    hop per round, so the round count is O(component DIAMETER) (near-dup
-    clusters are dense, diameter is tiny in practice). For chain-shaped
-    components pass ``algorithm="star"`` — the alternating
-    Large-Star/Small-Star variant (:func:`connected_components_star`,
-    r5) converges in O(log n) rounds regardless of diameter, identical
-    output (union-find-verified pytest). If ``max_iters`` rounds pass
-    without reaching the fixpoint the function RAISES rather than
-    returning silently split components."""
-    if algorithm == "star":
-        return connected_components_star(
-            nodes, edges, node_col=node_col, a_col=a_col, b_col=b_col,
-            max_iters=max_iters, num_parts=num_parts)
-    if algorithm != "minlabel":
-        raise ValueError("algorithm must be 'minlabel' or 'star'")
-    if num_parts is None:
-        num_parts = auto_num_parts(nodes)
-
-    def und(batch: pa.Table) -> pa.Table:
-        a = batch[a_col].to_numpy(zero_copy_only=False)
-        b = batch[b_col].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "src": pa.array(np.concatenate([a, b]), type=pa.int64()),
-            "dst": pa.array(np.concatenate([b, a]), type=pa.int64()),
-        })
-
-    # materialize ONCE: the loop below unions this Dataset every round,
-    # and a lazy handle would re-execute the caller's whole edge
-    # derivation (e.g. an O(N²) near-dup sweep) per round — the edge
-    # list is already per-round scan state, so pinning it is strictly
-    # cheaper
-    und_edges = edges.map_batches(
-        und, batch_format="pyarrow").repartition(
-            num_parts).materialize()
-
-    def init(batch: pa.Table) -> pa.Table:
-        ids = batch[node_col]
-        return pa.table({"node": pc.cast(ids, pa.int64()),
-                         "label": pc.cast(ids, pa.int64())})
-
-    labels = nodes.select_columns([node_col]).map_batches(
-        init, batch_format="pyarrow").materialize()
-    prev_sum = None
-
-    def part_of(col: pa.ChunkedArray | pa.Array) -> pa.Array:
-        return pc.cast(pc.bit_wise_and(col, num_parts - 1), pa.int32())
-
-    def tag_label(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "part": part_of(batch["node"]),
-            "node": batch["node"],
-            "dst": pa.array(np.full(batch.num_rows, -1, dtype=np.int64)),
-            "label": batch["label"],
-        })
-
-    def tag_edge(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({
-            "part": part_of(batch["src"]),
-            "node": batch["src"],
-            "dst": batch["dst"],
-            "label": pa.array(np.full(n, np.iinfo(np.int64).max)),
-        })
-
-    def propagate(group: pa.Table) -> pa.Table:
-        node = group["node"].to_numpy(zero_copy_only=False)
-        dst = group["dst"].to_numpy(zero_copy_only=False)
-        lab = group["label"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((lab, node))  # label row (min lab) leads
-        node, dst, lab = node[order], dst[order], lab[order]
-        new = np.ones(len(node), dtype=bool)
-        new[1:] = node[1:] != node[:-1]
-        # forward-fill each node's own label onto its edge rows
-        lab_ff = lab[np.maximum.accumulate(
-            np.where(new, np.arange(len(node)), 0))]
-        is_edge = dst >= 0
-        # messages: (dst, my label) per edge + (node, my label) to self
-        return pa.table({
-            "node": pa.array(np.concatenate([dst[is_edge], node[new]]),
-                             type=pa.int64()),
-            "label": pa.array(np.concatenate([lab_ff[is_edge],
-                                              lab[new]])),
-        })
-
-    converged = False
-    for _ in range(max_iters):
-        msgs = (labels.map_batches(tag_label, batch_format="pyarrow")
-                .union(und_edges.map_batches(tag_edge,
-                                             batch_format="pyarrow"))
-                .groupby("part")
-                .map_groups(propagate, batch_format="pyarrow"))
-        # round discipline (NOTES r4): the union above adds the edge
-        # blocks to the label blocks every round and groupbys preserve
-        # block count — without re-coalescing at this materialize
-        # boundary the per-round block count grows linearly and
-        # per-block task overhead dominates (measured 1.5 s -> 29 s by
-        # round 9 on a 500-node graph)
-        labels = (msgs.groupby("node")
-                  .aggregate(Min("label", alias_name="label"))
-                  .repartition(num_parts)
-                  .materialize())
-        s = labels.sum("label")
-        if s == prev_sum:  # labels only decrease → fixpoint
-            converged = True
-            break
-        prev_sum = s
-    if not converged:
-        raise RuntimeError(
-            f"connected_components did not converge in {max_iters} "
-            "rounds — a component's diameter exceeds the budget; raise "
-            "max_iters (min-propagation takes one hop per round)")
-
-    def rename(batch: pa.Table) -> pa.Table:
-        return pa.table({node_col: batch["node"],
-                         "component": batch["label"]})
-
-    return labels.map_batches(rename, batch_format="pyarrow")
 
 
 def cluster_canonicals(clusters: Dataset, scores: Dataset,
@@ -1068,7 +936,7 @@ def triangle_count(edges: Dataset, *, src_col: str = "src",
 
 
 # ---------------------------------------------------------------------------
-# Alternating-star connected components (the O(log) rounds variant)
+# Connected components (alternating Large-Star / Small-Star rounds)
 # ---------------------------------------------------------------------------
 
 
@@ -1088,20 +956,25 @@ def _pair_signature(lo: np.ndarray, hi: np.ndarray) -> tuple[int, int]:
     return int(lo.size), int(acc)
 
 
-def connected_components_star(nodes: Dataset, edges: Dataset,
-                              node_col: str = "doc_id",
-                              a_col: str = "id_a", b_col: str = "id_b",
-                              max_iters: int = 60,
-                              num_parts: int | None = None) -> Dataset:
-    """:func:`connected_components` semantics via alternating
-    Large-Star / Small-Star rounds (Kiveris et al., "Connected
-    Components in MapReduce and Beyond", SoCC 2014 — public): per round
-    each node attaches its larger (large-star) or smaller (small-star)
-    neighbors to its minimum neighbor, which contracts every component
-    to a star around its minimum id in **O(log n) rounds regardless of
-    diameter** — the upgrade path the min-label docstring names for
-    chain-shaped components (min propagation needs one round per hop;
-    a 10^6-node path graph is 10^6 rounds there and ~20 here).
+def connected_components(nodes: Dataset, edges: Dataset,
+                         node_col: str = "doc_id",
+                         a_col: str = "id_a", b_col: str = "id_b",
+                         max_iters: int = 60,
+                         num_parts: int | None = None) -> Dataset:
+    """(node_col, component) for every node — ``component`` is the
+    minimum node id of the node's connected component (isolated nodes
+    map to themselves). *edges* is undirected pairs; self-loops and
+    duplicates are harmless.
+
+    Alternating Large-Star / Small-Star rounds (Kiveris et al.,
+    "Connected Components in MapReduce and Beyond", SoCC 2014): per
+    round each node attaches its larger (large-star) or smaller
+    (small-star) neighbors to its minimum neighbor, which contracts
+    every component to a star around its minimum id in O(log n) rounds
+    whatever the diameter (a path graph of 10^6 nodes takes ~20 rounds,
+    where min-label propagation would take one per hop). If
+    ``max_iters`` rounds pass without reaching the fixpoint the
+    function RAISES rather than returning silently split components.
 
     Distributed shape per round: the canonical edge set doubles into
     (center, neighbor) rows, one coarse center-hash groupby runs the
@@ -1199,7 +1072,7 @@ def connected_components_star(nodes: Dataset, edges: Dataset,
         prev = sig
     if not converged:
         raise RuntimeError(
-            f"connected_components_star did not converge in {max_iters} "
+            f"connected_components did not converge in {max_iters} "
             "rounds — raise max_iters (expected O(log n) rounds)")
 
     def self_rows(batch: pa.Table) -> pa.Table:

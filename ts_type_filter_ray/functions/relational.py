@@ -142,13 +142,11 @@ def _nation_lookup(sf_dir: str):
     return custkey[order], codes, names
 
 
-def revenue_by_nation(sf_dir: str,
-                      max_broadcast_rows: int = MAX_BROADCAST_DIM_ROWS
-                      ) -> Dataset:
+def revenue_by_nation(sf_dir: str) -> Dataset:
     """(n_name, n_orders, revenue_c): orders ⋈ customer ⋈ nation.
 
     Size contract: while the customer dimension has ≤
-    ``max_broadcast_rows`` rows (checked from Parquet METADATA — no data
+    :data:`MAX_BROADCAST_DIM_ROWS` rows (checked from Parquet METADATA — no data
     read) it is broadcast once via ``ray.put`` and each fact batch does a
     ``searchsorted`` lookup + bincount partial — the guide's
     broadcast-join pattern, no shuffle. A dimension over the contract
@@ -159,7 +157,7 @@ def revenue_by_nation(sf_dir: str,
     import pyarrow.parquet as pq
 
     dim_rows = pq.ParquetFile(f"{sf_dir}/customer.parquet").metadata.num_rows
-    if dim_rows > max_broadcast_rows:
+    if dim_rows > MAX_BROADCAST_DIM_ROWS:
         return _revenue_by_nation_shuffle(sf_dir)
     custkey_sorted, nation_code, names = _nation_lookup(sf_dir)
     dim_ref = ray.put((custkey_sorted, nation_code))
@@ -602,9 +600,7 @@ TOP_ORDERS_SQL = f"""
     limit {Q3_TOPK}"""
 
 
-def revenue_rollup(sf_dir: str,
-                   max_broadcast_rows: int = MAX_BROADCAST_DIM_ROWS,
-                   num_parts: int | None = None) -> Dataset:
+def revenue_rollup(sf_dir: str, num_parts: int | None = None) -> Dataset:
     """(n_name, c_mktsegment, n_orders, revenue_c) at every
     ``ROLLUP(n_name, c_mktsegment)`` grouping level — super-aggregate
     rows carry the ``'ALL'`` marker instead of SQL's NULL (the gate
@@ -656,7 +652,7 @@ def revenue_rollup(sf_dir: str,
                             minlength=n_codes).astype(np.int64)),
         })
 
-    if dim_rows <= max_broadcast_rows:
+    if dim_rows <= MAX_BROADCAST_DIM_ROWS:
         cust = pq.read_table(
             f"{sf_dir}/customer.parquet",
             columns=["c_custkey", "c_nationkey", "c_mktsegment"])

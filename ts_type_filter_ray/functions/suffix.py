@@ -905,8 +905,7 @@ class SuffixArray:
         return _dup_coverage_body(ranks_kj, self.bounds, self.n,
                                   converged, min_len, self.num_parts)
 
-    def lcp(self, stride: int = 1,
-            broadcast_rows: int = DESCEND_BROADCAST_ROWS) -> Dataset:
+    def lcp(self, stride: int = 1) -> Dataset:
         """(pos, lcp) — the LCP array restricted to every
         ``stride``-th position: the longest common prefix (code points
         of G) between the suffix at ``pos`` and its predecessor in
@@ -918,7 +917,7 @@ class SuffixArray:
         suffix with its predecessor, then a binary descent over
         descending powers of two resolves each pair's exact LCP —
         level ``bit`` tests ``R_bit[a+lo] == R_bit[b+lo]``. Small
-        states (≤ ``broadcast_rows`` pairs) descend via broadcast
+        states (≤ ``DESCEND_BROADCAST_ROWS`` pairs) descend via broadcast
         probes of the in-place rank tables (zero shuffles — measured
         6× over the exchange path at a 150k-char corpus); larger
         states stay distributed, each level a gather exchange routed
@@ -936,7 +935,7 @@ class SuffixArray:
             bits.append(bit)
             bit //= 2
         n_pairs = state.count()
-        if 0 < n_pairs <= broadcast_rows:
+        if 0 < n_pairs <= DESCEND_BROADCAST_ROWS:
             pdf = state.to_pandas()
             a = pdf["a"].to_numpy()
             b = pdf["b"].to_numpy()
@@ -958,9 +957,7 @@ class SuffixArray:
 
         return state.map_batches(out, batch_format="pyarrow").sort("pos")
 
-    def longest_repeat(self,
-                       broadcast_rows: int = DESCEND_BROADCAST_ROWS
-                       ) -> Dataset:
+    def longest_repeat(self) -> Dataset:
         """One row (longest_repeat) — the length of the longest
         substring of G occurring >= 2 times (0 when every character is
         unique). Equal to ``max`` over the full LCP array, computed
@@ -986,7 +983,7 @@ class SuffixArray:
             bit //= 2
         n_pairs = pairs.count()
         best = 0
-        if 0 < n_pairs <= broadcast_rows:
+        if 0 < n_pairs <= DESCEND_BROADCAST_ROWS:
             pdf = pairs.to_pandas()
             a = pdf["a"].to_numpy()
             b = pdf["b"].to_numpy()
@@ -1025,22 +1022,17 @@ class SuffixArray:
 
 
 def suffix_lcp(ds: Dataset, stride: int = 1, max_compare: int = 4096,
-               num_parts: int | None = None,
-               broadcast_rows: int = DESCEND_BROADCAST_ROWS) -> Dataset:
+               num_parts: int | None = None) -> Dataset:
     """Functional wrapper — see :meth:`SuffixArray.lcp`."""
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    return SuffixArray(ds, max_compare, num_parts).lcp(
-        stride, broadcast_rows)
+    return SuffixArray(ds, max_compare, num_parts).lcp(stride)
 
 
 def longest_repeat(ds: Dataset, max_compare: int = 4096,
-                   num_parts: int | None = None,
-                   broadcast_rows: int = DESCEND_BROADCAST_ROWS
-                   ) -> Dataset:
+                   num_parts: int | None = None) -> Dataset:
     """Functional wrapper — see :meth:`SuffixArray.longest_repeat`."""
-    return SuffixArray(ds, max_compare, num_parts).longest_repeat(
-        broadcast_rows)
+    return SuffixArray(ds, max_compare, num_parts).longest_repeat()
 
 
 def _tag_bounds(bounds: Dataset, tags: Dataset,
@@ -1191,7 +1183,6 @@ def _attach_owner(state: Dataset, tagged_bounds: Dataset, n: int,
 def cross_longest_common(ds_a: Dataset, ds_b: Dataset,
                          max_compare: int = 4096,
                          num_parts: int | None = None,
-                         broadcast_rows: int = DESCEND_BROADCAST_ROWS,
                          sa: "SuffixArray | None" = None) -> Dataset:
     """One row (cross_common_len) — the longest common substring
     BETWEEN two corpora: the max length of a string occurring in corpus
@@ -1261,7 +1252,7 @@ def cross_longest_common(ds_a: Dataset, ds_b: Dataset,
         bit //= 2
     n_pairs = state.count()
     best = 0
-    if 0 < n_pairs <= broadcast_rows:
+    if 0 < n_pairs <= DESCEND_BROADCAST_ROWS:
         pdf = state.to_pandas()
         a = pdf["a"].to_numpy()
         b = pdf["b"].to_numpy()
@@ -1281,7 +1272,6 @@ def cross_longest_common(ds_a: Dataset, ds_b: Dataset,
 
 def distinct_substrings(ds: Dataset, max_compare: int = 4096,
                         num_parts: int | None = None,
-                        broadcast_rows: int = DESCEND_BROADCAST_ROWS,
                         sa: "SuffixArray | None" = None) -> Dataset:
     """One row (n_chars, n_distinct_substrings) — the number of DISTINCT
     substrings of the separator-delimited corpus stream, the classic
@@ -1298,7 +1288,7 @@ def distinct_substrings(ds: Dataset, max_compare: int = 4096,
 
     if sa is None:
         sa = SuffixArray(ds, max_compare, num_parts)
-    lcp = sa.lcp(stride=1, broadcast_rows=broadcast_rows)
+    lcp = sa.lcp(stride=1)
     s = lcp.aggregate(Sum("lcp", alias_name="s"))["s"]
     total = sa.n * (sa.n + 1) // 2 - int(s if s is not None else 0)
     return rd.from_arrow(pa.table({

@@ -1037,9 +1037,10 @@ def export_postings(index_root: str):
     """Decode the index back to its LOGICAL (term, doc_id, tf) triples
     as a streaming ``ray.data.Dataset`` — the interchange dump (feed it
     to another engine, diff two indexes, or re-derive any statistic in
-    SQL). One distributed pass over the bucket-sharded posting files:
-    each batch decodes its varint columns with the vectorized column
-    kernels and explodes via offsets (no per-posting Python); tombstoned
+    SQL). One distributed pass over the committed posting files
+    (:func:`committed_segment_files`): each batch decodes its varint
+    columns with the vectorized column kernels and explodes via offsets
+    (no per-posting Python); tombstoned
     docs are dropped so the export equals the index's query-visible
     contents. Output order is unspecified (it's a set of triples);
     ``.write_parquet`` it for a resumable on-disk dump."""
@@ -1047,16 +1048,15 @@ def export_postings(index_root: str):
 
     index = BuiltIndex.load(index_root)
     tomb = load_tombstones(index_root)
+    empty = pa.table({"term": pa.array([], type=pa.string()),
+                      "doc_id": pa.array([], type=pa.int64()),
+                      "tf": pa.array([], type=pa.int64())})
 
     def explode(batch: "pa.Table") -> "pa.Table":
         ids_flat, off = plib.decode_doc_ids_column(batch["doc_ids_enc"])
         tfs_flat, _ = plib.decode_varints_column(batch["tfs_enc"])
         if len(ids_flat) == 0:
-            return pa.table({
-                "term": pa.array([], type=pa.string()),
-                "doc_id": pa.array([], type=pa.int64()),
-                "tf": pa.array([], type=pa.int64()),
-            })
+            return empty
         counts = np.diff(np.asarray(off, dtype=np.int64))
         parent = np.repeat(np.arange(batch.num_rows, dtype=np.int64),
                            counts)
@@ -1072,6 +1072,9 @@ def export_postings(index_root: str):
             "tf": pa.array(tfs_flat, type=pa.int64()),
         })
 
-    ds = rd.read_parquet(index.postings_dir,
-                         columns=["term", "doc_ids_enc", "tfs_enc"])
+    files = committed_segment_files(index.postings_dir,
+                                    index.stats.num_segments)
+    if not files:
+        return rd.from_arrow(empty)
+    ds = rd.read_parquet(files, columns=["term", "doc_ids_enc", "tfs_enc"])
     return ds.map_batches(explode, batch_format="pyarrow")

@@ -10,11 +10,11 @@ the index by construction, including any custom stemmer), written
 doc_id-sorted with the same manifest + row-group-statistics pruning the
 numeric index uses: a k-doc term-vector read touches O(k) row groups.
 
-Scale shape: the explode pass streams postings blocks through
-``map_batches`` with the fully-vectorized column varint decoders
-(``decode_doc_ids_column`` / ``decode_varints_column`` — no per-row
-Python), and the one ``Dataset.sort`` ships (doc_id, term, tf) triples
-only. Output size ≈ postings size (it IS the transpose).
+Scale shape: the triples come from ``build.export_postings`` — one
+streaming decode pass over the committed posting files with the
+vectorized column varint decoders, tombstoned docs left out — and the
+one ``Dataset.sort`` ships (doc_id, term, tf) triples only. Output size
+≈ postings size (it IS the transpose).
 
 Staleness: the artifact records the index's (num_documents,
 num_postings) fingerprint; reads against an extended/compacted index
@@ -30,10 +30,8 @@ import os
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
-from ..state.postings import decode_doc_ids_column, decode_varints_column
-from .build import BuiltIndex, load_tombstones
+from .build import BuiltIndex, export_postings, load_tombstones
 from .numeric import _load_manifest, _prune_read, _write_sorted
 
 __all__ = ["build_forward_index", "ForwardIndex"]
@@ -47,40 +45,10 @@ def _index_fingerprint(idx: BuiltIndex) -> list:
     return [idx.stats.num_documents, idx.stats.num_postings]
 
 
-def _postings_files(idx: BuiltIndex) -> list[str]:
-    out = []
-    for bdir in sorted(os.listdir(idx.postings_dir)):
-        if not bdir.startswith("bucket="):
-            continue
-        d = os.path.join(idx.postings_dir, bdir)
-        for f in sorted(os.listdir(d)):
-            if f.endswith(".parquet") and not f.startswith(("_", ".")):
-                out.append(os.path.join(d, f))
-    return out
-
-
-def _explode(batch: pa.Table) -> pa.Table:
-    """(term, doc_ids_enc, tfs_enc) postings rows → (doc_id, term, tf)
-    triples, one vectorized decode per column."""
-    ids_flat, off = decode_doc_ids_column(batch["doc_ids_enc"])
-    tfs_flat, _ = decode_varints_column(batch["tfs_enc"])
-    counts = np.diff(off)
-    terms = pa.array(
-        np.repeat(np.arange(batch.num_rows), counts)).cast(pa.int64())
-    term_col = pc.take(batch["term"].combine_chunks(), terms)
-    return pa.table({
-        "doc_id": pa.array(ids_flat, type=pa.int64()),
-        "term": term_col,
-        "tf": pa.array(tfs_flat, type=pa.int64()),
-    })
-
-
 def build_forward_index(root: str) -> str:
     """Build (or reuse) the forward index under ``{root}/_forward``.
     Idempotent: a finished build (matching fingerprint) is reused; a
     stale one (index extended/compacted since) is rebuilt."""
-    import ray.data as rd
-
     idx = BuiltIndex.load(root)
     base = _forward_dir(root)
     meta_path = os.path.join(base, "_meta.json")
@@ -92,10 +60,8 @@ def build_forward_index(root: str) -> str:
         import shutil
         shutil.rmtree(base, ignore_errors=True)
     os.makedirs(base, exist_ok=True)
-    ds = rd.read_parquet(_postings_files(idx),
-                         columns=["term", "doc_ids_enc", "tfs_enc"])
-    triples = ds.map_batches(_explode, batch_format="pyarrow")
-    _write_sorted(triples, base, "doc_id", ["doc_id", "term", "tf"])
+    _write_sorted(export_postings(root), base, "doc_id",
+                  ["doc_id", "term", "tf"])
     tmp = meta_path + ".tmp"
     with open(tmp, "w") as f:
         json.dump({"fingerprint": fp}, f)

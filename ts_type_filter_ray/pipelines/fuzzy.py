@@ -46,7 +46,7 @@ import pyarrow.parquet as pq
 
 from ..state.index_file import write_index_table
 from ..text.hashvec import md5_lower64_strings
-from .build import BuiltIndex
+from .build import BuiltIndex, read_postings
 from .query import _lev_within, postings_union
 
 __all__ = ["deletion_variants", "build_fuzzy_index",
@@ -96,15 +96,13 @@ def _variant_buckets(variants: list[str], num_buckets: int) -> np.ndarray:
             % np.uint64(num_buckets)).astype(np.int64)
 
 
-def _emit_one_bucket(postings_dir: str, bucket: int, max_dist: int,
+def _emit_one_bucket(idx: BuiltIndex, bucket: int, max_dist: int,
                      num_vbuckets: int, out_dir: str) -> int:
     """Emit the deletion neighborhood of one source term bucket into
     ``vbucket=*/src=<bucket>.parquet`` files (variant-sorted). Source
     buckets partition the vocabulary, so filenames never collide and a
     re-run per bucket is idempotent (full overwrite of its own files)."""
-    dset = pads.dataset(postings_dir, partitioning="hive")
-    tbl = dset.to_table(filter=pc.field("bucket") == bucket,
-                        columns=["term"])
+    tbl = read_postings(idx, [bucket], columns=["term"])
     terms = pc.unique(tbl["term"]).to_pylist()
     variants: list[str] = []
     owners: list[str] = []
@@ -201,7 +199,7 @@ def build_fuzzy_index(root: str, max_dist: int = 1,
     # disjointly partitioned on disk — a Dataset groupby would re-shuffle
     # placed data, same reasoning as merge_partial_buckets)
     task = ray.remote(_emit_one_bucket)
-    refs = [task.remote(idx.postings_dir, b, max_dist, nvb, out_dir)
+    refs = [task.remote(idx, b, max_dist, nvb, out_dir)
             for b in range(idx.stats.num_term_buckets)]
     ray.get(refs)
     merge = ray.remote(_merge_one_vbucket)

@@ -56,11 +56,10 @@ import shutil
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from ..state.index_file import write_index_table
-from .build import BuiltIndex
+from .build import BuiltIndex, read_postings
 from .fuzzy import _variant_buckets, _vocab_fingerprint
 from .query import postings_union
 
@@ -90,15 +89,13 @@ def _load_meta(root: str) -> dict | None:
         return json.load(f)
 
 
-def _emit_one_bucket(postings_dir: str, bucket: int, num_gbuckets: int,
+def _emit_one_bucket(idx: BuiltIndex, bucket: int, num_gbuckets: int,
                      out_dir: str) -> int:
     """Emit one source term bucket's (gram, term) rows into
     ``gbucket=*/src=<bucket>.parquet`` files (gram-sorted). Source
     buckets partition the vocabulary, so filenames never collide and a
     re-run per bucket is idempotent (full overwrite of its own files)."""
-    dset = pads.dataset(postings_dir, partitioning="hive")
-    tbl = dset.to_table(filter=pc.field("bucket") == bucket,
-                        columns=["term"])
+    tbl = read_postings(idx, [bucket], columns=["term"])
     terms = pc.unique(tbl["term"]).to_pylist()
     grams: list[str] = []
     owners: list[str] = []
@@ -152,7 +149,7 @@ def build_trigram_index(root: str,
     os.makedirs(out_dir, exist_ok=True)
     ngb = num_gbuckets or idx.stats.num_term_buckets
     task = ray.remote(_emit_one_bucket)
-    refs = [task.remote(idx.postings_dir, b, ngb, out_dir)
+    refs = [task.remote(idx, b, ngb, out_dir)
             for b in range(idx.stats.num_term_buckets)]
     ray.get(refs)
     merge = ray.remote(_merge_one_gbucket)
