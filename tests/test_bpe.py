@@ -220,9 +220,9 @@ def test_sharded_trainer_wide_vocabulary(ray_session, monkeypatch):
     30k-distinct-word synthetic vocabulary."""
     rng = np.random.default_rng(9)
     alphabet = "abcdefgh"
-    vocab = list({"".join(rng.choice(list(alphabet),
-                                     rng.integers(3, 9)))
-                  for _ in range(30_000)})
+    vocab = sorted({"".join(rng.choice(list(alphabet),
+                                       rng.integers(3, 9)))
+                    for _ in range(30_000)})
     docs = [" ".join(vocab[j] for j in rng.integers(0, len(vocab), 40))
             for _ in range(800)]
     ds = rd.from_arrow(pa.table({

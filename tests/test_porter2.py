@@ -3,10 +3,22 @@
 Expected values come from the published algorithm description
 (https://snowballstem.org/algorithms/english/stemmer.html) — every pair
 below is either an example given in the spec text or derived by hand from
-the spec's rules.
+the spec's rules. ``data/porter2_golden.tsv.gz`` pins the stem of ~158k
+words (every step 2/3/4 suffix alone and two deep, apostrophe forms,
+y runs, the R1 prefixes, the exceptional forms, upper case, non-ASCII
+and code tokens) as an earlier version of the stemmer produced them.
 """
 
+import gzip
+import pickle
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ts_type_filter_ray.text.porter2 import stem
+
+GOLDEN = Path(__file__).parent / "data" / "porter2_golden.tsv.gz"
 
 
 def test_short_words_unchanged():
@@ -137,3 +149,28 @@ def test_idempotent_on_common_vocab():
     assert stem("classes") == "class"
     assert stem("functions") == stem("function")
     assert stem("tested") == stem("testing") == stem("tests") == "test"
+
+
+def test_stem_pickles_by_reference():
+    assert pickle.loads(pickle.dumps(stem)) is stem
+
+
+def test_golden_table():
+    rows = gzip.decompress(GOLDEN.read_bytes()).decode("utf-8").splitlines()
+    assert len(rows) >= 100_000
+    bad = []
+    for row in rows:
+        word, want = row.split("\t")
+        got = stem(word)
+        if got != want:
+            bad.append((word, want, got))
+    assert not bad, f"{len(bad)} mismatches, first: {bad[:5]}"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz'", max_size=16))
+def test_stem_properties(word):
+    s = stem(word)
+    assert s == stem(word.upper())
+    assert len(s) <= len(word)
+    assert "Y" not in s

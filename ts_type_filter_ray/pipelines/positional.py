@@ -68,7 +68,7 @@ import pyarrow.parquet as pq
 from ray.data import Dataset
 
 from ..state import postings as plib
-from ..state.postings import term_bucket
+from ..state.postings import term_bucket, term_buckets
 from ..state.spill import SpillDatasink, read_spill, spill_files
 from .build import (_bucket_dirs, _bucket_sources, _bucket_wave,
                     _clear_generation, _compact_one_bucket,
@@ -187,8 +187,7 @@ def tokenize_positions_task(batch: pa.Table, *,
     run_codes = g_code[run_starts]
     vocab_arr = np.array(vocab, dtype=object)
     run_terms = vocab_arr[run_codes].tolist()
-    buckets = np.array([term_bucket(t, num_term_buckets)
-                        for t in run_terms], dtype=np.int32)
+    buckets = term_buckets(run_terms, num_term_buckets)
 
     return pa.table({
         "term": pa.array(run_terms, type=pa.string()),

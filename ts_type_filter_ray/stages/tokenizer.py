@@ -6,8 +6,7 @@ stateful ``map_batches`` stage over Arrow batches:
 
 - ``TokenizePartials``: callable tokenizer run in the task pool; it cuts
   each block into ``batch_size``-doc slices and per slice it stems every
-  token (stem cache shared across batches via the module-level
-  lru_cache in :mod:`..text.porter2`) and emits **partial postings** —
+  distinct token and emits **partial postings** —
   one row per (term, doc_partition) present in the slice, with parallel
   ``doc_ids``/``tfs``/``dls`` list columns. This per-slice partial
   aggregation is the combiner that keeps the spill small: a hot term
@@ -91,7 +90,6 @@ class TokenizePartials:
         # module-level lru_cache: hot vocab amortized per worker process
         self._stem = stemmer if stemmer is not None else stem
         self._break = breaker  # None → str.split fast path
-        self._bucket_cache: dict[str, int] = {}
         self._emit_meta = emit_meta
         self._stop = frozenset(w.lower() for w in stopwords) \
             if stopwords else None
@@ -143,7 +141,7 @@ class TokenizePartials:
         ListArray outputs. No per-token Python and no per-posting dict
         churn (the r1 Counter loop was memory-bound: Python string/dict
         traffic saturated this VM's bus at 28 actors)."""
-        from ..state.postings import term_bucket
+        from ..state.postings import term_buckets
 
         n_docs = batch.num_rows
         doc_np = batch["doc_id"].to_numpy(zero_copy_only=False)
@@ -188,8 +186,7 @@ class TokenizePartials:
                 doc_lens = n_tok.tolist()
                 if codes.size == 0:
                     return pa.table(empty_cols), doc_lens
-        _stem = self._stem
-        stems_u = np.array([_stem(t) for t in vocab])
+        stems_u = np.array(list(map(self._stem, vocab)))
         stem_vocab, sid_inverse = np.unique(stems_u, return_inverse=True)
         token_sid = sid_inverse[codes]
 
@@ -219,14 +216,7 @@ class TokenizePartials:
 
         run_sids = sid_e[starts]
         run_terms = stem_vocab[run_sids].tolist()
-        bcache = self._bucket_cache
-        nb = self._num_buckets
-        bucket_vocab = np.empty(len(stem_vocab), dtype=np.int32)
-        for i, t in enumerate(stem_vocab.tolist()):
-            bkt = bcache.get(t)
-            if bkt is None:
-                bkt = bcache[t] = term_bucket(t, nb)
-            bucket_vocab[i] = bkt
+        bucket_vocab = term_buckets(stem_vocab.tolist(), self._num_buckets)
 
         postings = pa.table({
             "term": pa.array(run_terms, type=pa.string()),
@@ -270,30 +260,23 @@ class TokenizePartials:
                 entry[1].append(tf)
                 entry[2].append(dl)
 
-        from ..state.postings import term_bucket
+        from ..state.postings import term_buckets
 
-        bcache = self._bucket_cache
-        nb = self._num_buckets
         terms = []
         parts = []
-        buckets = []
         l_doc = []
         l_tf = []
         l_dl = []
         for (term, part), (ds_, ts_, ls_) in acc.items():
             terms.append(term)
             parts.append(part)
-            bkt = bcache.get(term)
-            if bkt is None:
-                bkt = bcache[term] = term_bucket(term, nb)
-            buckets.append(bkt)
             l_doc.append(ds_)
             l_tf.append(ts_)
             l_dl.append(ls_)
         postings = pa.table({
             "term": pa.array(terms, type=pa.string()),
             "part": pa.array(parts, type=pa.int32()),
-            "bucket": pa.array(buckets, type=pa.int32()),
+            "bucket": pa.array(term_buckets(terms, self._num_buckets)),
             "doc_ids": pa.array(l_doc, type=pa.list_(pa.int64())),
             "tfs": pa.array(l_tf, type=pa.list_(pa.int32())),
             "dls": pa.array(l_dl, type=pa.list_(pa.int32())),

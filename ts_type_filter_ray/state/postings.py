@@ -31,6 +31,13 @@ def term_bucket(term: str, num_buckets: int) -> int:
     return zlib.crc32(term.encode("utf-8")) % num_buckets
 
 
+def term_buckets(terms: list[str], num_buckets: int) -> np.ndarray:
+    """:func:`term_bucket` of each of *terms*, as an int32 array."""
+    crcs = np.fromiter(map(zlib.crc32, map(str.encode, terms)),
+                       dtype=np.int64, count=len(terms))
+    return (crcs % num_buckets).astype(np.int32)
+
+
 _SMALL = 64  # below this, the scalar loop beats numpy's fixed call overhead
 
 
