@@ -156,7 +156,9 @@ def test_ngram_jaccard_matches_bruteforce(ray_session, docs_tokens, thresh):
 def test_vectorized_tokenizer_matches_python_on_exotic_whitespace(ray_session):
     """Arrow utf8_split_whitespace must agree with Python str.split()
     (the oracle's breaker) on every whitespace class — NBSP, NEL, LS,
-    information separators, zero-width non-spaces, and blank docs."""
+    information separators, zero-width non-spaces, and blank docs —
+    and tokens that differ only by trailing NULs, which str.split()
+    keeps apart (NUL is not whitespace)."""
     import pyarrow as pa
 
     from ts_type_filter_ray.stages.tokenizer import TokenizePartials
@@ -164,7 +166,8 @@ def test_vectorized_tokenizer_matches_python_on_exotic_whitespace(ray_session):
 
     texts = ["a\xa0b c", "x\x85y", "l1 l2", "f\x1cg\x1dh\x1ei\x1fj",
              "zw​joined stays", "", "   \t ", "a\x0bb\x0cc",
-             "Ünïco\xa0dé words", "plain old text"]
+             "Ünïco\xa0dé words", "plain old text",
+             "ab\x00 ab", "\x00", "ab\x00\x00 x"]
     batch = pa.table({
         "doc_id": pa.array(range(len(texts)), type=pa.int64()),
         "content": pa.array(texts, type=pa.large_string()),

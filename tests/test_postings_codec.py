@@ -102,20 +102,27 @@ def test_decode_varints_column_matches_rowwise():
             assert (got == exp).all()
 
 
-@given(st.lists(st.lists(st.integers(min_value=0, max_value=2**62),
+@given(st.lists(st.lists(st.integers(min_value=0, max_value=2**63 - 1),
                          min_size=1, max_size=80), max_size=20))
 @example([[0]])
 @example([[2**62], [1], [127], [128]])
+@example([[0, 1, 127]])                       # all one byte: the fast path
+@example([[5] * 70, [127], [0, 0]])
+@example([[1, 2**63 - 1, 127, 2**56, 0], [2**63 - 1], [3]])  # 1 + 9 bytes
 def test_encode_varints_sliced_matches_per_run(runs):
     """One whole-array encode cut at the run starts equals encoding each
-    run on its own, run by run and byte for byte (runs above ``_SMALL``
-    values exercise encode_varints' numpy path)."""
+    run on its own with the scalar reference loop, run by run and byte
+    for byte — and so does encode_varints, whose runs above ``_SMALL``
+    values take the same vectorized kernel as the sliced encode."""
     import pyarrow as pa
 
-    from ts_type_filter_ray.state.postings import encode_varints_sliced
+    from ts_type_filter_ray.state.postings import (_encode_varints_small,
+                                                   encode_varints_sliced)
 
     flat = np.array([v for r in runs for v in r], dtype=np.int64)
     starts = np.cumsum([0] + [len(r) for r in runs])[:-1]
     out = encode_varints_sliced(flat, starts)
     assert out.type == pa.large_binary()
-    assert out.to_pylist() == [encode_varints(r) for r in runs]
+    expected = [_encode_varints_small(r) for r in runs]
+    assert out.to_pylist() == expected
+    assert [encode_varints(r) for r in runs] == expected

@@ -69,7 +69,8 @@ import ray
 from ray.data import Dataset
 
 from ..oracle.index import BM25_B, BM25_K1
-from ..stages.tokenizer import (DEFAULT_DOC_PART_BITS, TokenizePartials,
+from ..stages.tokenizer import (DEFAULT_DOC_PART_BITS,
+                                DEFAULT_TOKENIZE_BATCH_SIZE, TokenizePartials,
                                 merge_bucket_table)
 from ..state import postings as plib
 from ..state.index_file import write_index_table
@@ -151,7 +152,7 @@ class BuiltIndex:
 def build_index(corpus: Dataset, out_dir: str, *,
                 doc_part_bits: int = DEFAULT_DOC_PART_BITS,
                 num_term_buckets: int = DEFAULT_TERM_BUCKETS,
-                tokenize_batch_size: int = 256,
+                tokenize_batch_size: int = DEFAULT_TOKENIZE_BATCH_SIZE,
                 breaker=None, stemmer=None, keep_partials: bool = False,
                 k1: float = BM25_K1, b: float = BM25_B,
                 stopwords=None) -> BuiltIndex:
@@ -163,6 +164,17 @@ def build_index(corpus: Dataset, out_dir: str, *,
     ``stopwords`` (lowercase surface forms) are dropped at index time —
     from postings AND doc_len — as if never written (Lucene StopFilter
     semantics; see ``stages/tokenizer.py``).
+
+    ``tokenize_batch_size`` is the tokenizer's slice length in docs. It
+    never changes the index. It sets how much a tokenize task
+    aggregates before the spill: one partial row per (term, part) per
+    slice, so a larger slice ships fewer rows for hot terms. It also
+    bounds the task's scratch: a few int64 arrays of the slice's token
+    count, about a few × tokens × 8 B. On a 10k-doc zipf code corpus
+    (~110 tokens per doc, read as ≤1024-doc blocks, so a 2048-doc slice
+    is a whole block), one tokenize process peaked 13.8 MB above its
+    idle RSS at 256 docs per slice and 22.6 MB at the 2048 default,
+    and its partial rows fell from 137,704 to 103,526.
     """
     os.makedirs(out_dir, exist_ok=True)
     # ONE corpus pass — tokenize emits partial posting rows AND per-doc
@@ -186,7 +198,7 @@ def build_index(corpus: Dataset, out_dir: str, *,
 
 
 def extend_index(root: str, new_corpus: Dataset, *,
-                 tokenize_batch_size: int = 256,
+                 tokenize_batch_size: int = DEFAULT_TOKENIZE_BATCH_SIZE,
                  breaker=None, stemmer=None,
                  stopwords=None) -> BuiltIndex:
     """Incrementally add *new_corpus* to an existing index — LSM-style:
@@ -220,7 +232,8 @@ def extend_index(root: str, new_corpus: Dataset, *,
 
     Breaker/stemmer/stopwords (and k1/b) must match the original build —
     they are not serialized in the index, so the caller owns that
-    contract (same as ``LocalSearcher``)."""
+    contract (same as ``LocalSearcher``). ``tokenize_batch_size`` is the
+    tokenizer's slice length, as in :func:`build_index`."""
     st = BuiltIndex.load(root).stats
     offset = st.next_doc_id
 

@@ -58,6 +58,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages.tokenizer import (encode_strings, split_whitespace,
+                                stem_dictionary)
 from .query import _lev_within
 from .querylang import (And, Contains, Field, FieldPrefix, Fuzzy, Not, Or,
                         Phrase, Prefix, Proximity, Range, Suffix, Term,
@@ -164,31 +166,16 @@ class PercolateStage:
         token, the (stemmed) unique vocabulary as an Arrow array, and a
         term → code dict over it."""
         n_docs = batch.num_rows
-        trimmed = pc.utf8_trim_whitespace(
-            batch[self.content_col].combine_chunks())
-        toks = pc.utf8_split_whitespace(trimmed)
-        flat = pc.utf8_lower(pc.list_flatten(toks))
-        parents = pc.list_parent_indices(toks)
-        if pc.any(pc.equal(trimmed, "")).as_py():
-            keep = pc.not_equal(flat, "")
-            flat = flat.filter(keep)
-            parents = parents.filter(keep)
-        par = parents.to_numpy(zero_copy_only=False).astype(np.int64)
+        flat, par = split_whitespace(
+            batch[self.content_col].combine_chunks(), lower=True)
         if len(flat) == 0:
             empty = pa.array([], type=pa.string())
             return (np.empty(0, np.int64), par, np.empty(0, np.int64),
                     empty, {})
-        enc = pc.dictionary_encode(flat)
-        if isinstance(enc, pa.ChunkedArray):
-            enc = enc.combine_chunks()
-        codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        vocab_arr = enc.dictionary
+        codes, vocab_arr = encode_strings(flat)
         if self.stemmer is not None:
-            stems = np.array([self.stemmer(t)
-                              for t in vocab_arr.to_pylist()], dtype=object)
-            uniq, inv = np.unique(stems, return_inverse=True)
-            codes = inv[codes].astype(np.int64)
-            vocab_arr = pa.array(uniq.tolist(), type=pa.string())
+            codes, vocab_arr = stem_dictionary(
+                codes, vocab_arr.to_numpy(zero_copy_only=False), self.stemmer)
         n_tok = np.bincount(par, minlength=n_docs)
         starts = np.concatenate(([0], np.cumsum(n_tok)))[:-1]
         pos = np.arange(len(par), dtype=np.int64) - starts[par]

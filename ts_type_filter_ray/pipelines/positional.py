@@ -67,6 +67,8 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 from ray.data import Dataset
 
+from ..stages.tokenizer import (encode_strings, split_whitespace,
+                                stem_dictionary)
 from ..state import postings as plib
 from ..state.postings import term_bucket, term_buckets
 from ..state.spill import SpillDatasink, read_spill, spill_files
@@ -114,15 +116,7 @@ def tokenize_positions_task(batch: pa.Table, *,
     """
     n_docs = batch.num_rows
     doc_np = batch["doc_id"].to_numpy(zero_copy_only=False)
-    trimmed = pc.utf8_trim_whitespace(batch["content"])
-    toks = pc.utf8_split_whitespace(trimmed)
-    flat = pc.utf8_lower(pc.list_flatten(toks))
-    parents = pc.list_parent_indices(toks)
-    if pc.any(pc.equal(trimmed, "")).as_py():
-        keep = pc.not_equal(flat, "")
-        flat = flat.filter(keep)
-        parents = parents.filter(keep)
-    par = parents.to_numpy(zero_copy_only=False).astype(np.int64)
+    flat, par = split_whitespace(batch["content"], lower=True)
 
     empty = pa.table({
         "term": pa.array([], type=pa.string()),
@@ -143,16 +137,10 @@ def tokenize_positions_task(batch: pa.Table, *,
     doc_start = np.concatenate(([0], np.cumsum(n_tok)))[:-1]
     pos = np.arange(len(par), dtype=np.int64) - doc_start[par]
 
-    enc = pc.dictionary_encode(flat)
-    if isinstance(enc, pa.ChunkedArray):
-        enc = enc.combine_chunks()
-    codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    vocab = enc.dictionary.to_pylist()
+    codes, vocab = encode_strings(flat)
     if stemmer is not None:
-        stems = np.array([stemmer(t) for t in vocab], dtype=object)
-        uniq, inv = np.unique(stems, return_inverse=True)
-        codes = inv[codes].astype(np.int64)
-        vocab = uniq.tolist()
+        codes, vocab = stem_dictionary(
+            codes, vocab.to_numpy(zero_copy_only=False), stemmer)
 
     # stable sort by (code, docidx): within each group, original order
     # (= ascending position) is preserved
@@ -185,14 +173,13 @@ def tokenize_positions_task(batch: pa.Table, *,
         np.append(pos_run_starts, pos_total).astype(np.int32))
 
     run_codes = g_code[run_starts]
-    vocab_arr = np.array(vocab, dtype=object)
-    run_terms = vocab_arr[run_codes].tolist()
-    buckets = term_buckets(run_terms, num_term_buckets)
+    buckets = term_buckets(vocab.to_numpy(zero_copy_only=False),
+                           num_term_buckets)
 
     return pa.table({
-        "term": pa.array(run_terms, type=pa.string()),
+        "term": vocab.take(pa.array(run_codes)).cast(pa.string()),
         "part": pa.array(g_part[run_starts].astype(np.int32)),
-        "bucket": pa.array(buckets),
+        "bucket": pa.array(buckets[run_codes]),
         "doc_ids": pa.ListArray.from_arrays(
             doc_offsets, pa.array(doc_np[g_docidx], type=pa.int64())),
         "pcounts": pa.ListArray.from_arrays(
@@ -246,8 +233,7 @@ def _encode_positional(rows: pa.Table) -> pa.Table:
     files is the norm — then every column is varint-encoded in one
     vectorized pass over the bucket."""
     tbl = rows.combine_chunks()
-    enc = tbl["term"].combine_chunks().dictionary_encode()
-    codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    codes, vocab = encode_strings(tbl["term"].combine_chunks())
     parts = tbl["part"].to_numpy(zero_copy_only=False).astype(np.int64)
     dcol = tbl["doc_ids"].combine_chunks()
     parent = pc.list_parent_indices(dcol).to_numpy(zero_copy_only=False)
@@ -278,7 +264,7 @@ def _encode_positional(rows: pa.Table) -> pa.Table:
     p_delta[1:] -= pos_s[:-1]
     p_delta[doc_first] = pos_s[doc_first]
     return pa.table({
-        "term": enc.dictionary.take(pa.array(code_s[starts])),
+        "term": vocab.take(pa.array(code_s[starts])),
         "part": pa.array(part_s[starts].astype(np.int32)),
         "df": pa.array(np.diff(np.append(starts, len(doc_s))),
                        type=pa.int64()),

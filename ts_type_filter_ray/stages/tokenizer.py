@@ -32,6 +32,56 @@ import pyarrow.compute as pc
 from ..text.porter2 import stem
 
 DEFAULT_DOC_PART_BITS = 20  # 1M docs per doc-partition
+#: docs per tokenize slice (what it bounds: ``build_index``'s docstring)
+DEFAULT_TOKENIZE_BATCH_SIZE = 2048
+
+
+def split_whitespace(content, lower: bool = False
+                     ) -> tuple[pa.Array, np.ndarray]:
+    """``str.split()`` of every row of a string column, in Arrow →
+    (flat tokens, int64 row index of each token); ``lower`` lowercases
+    the tokens."""
+    trimmed = pc.utf8_trim_whitespace(content)
+    toks = pc.utf8_split_whitespace(trimmed)
+    flat = pc.list_flatten(toks)
+    if lower:
+        flat = pc.utf8_lower(flat)
+    parents = pc.list_parent_indices(toks)
+    # Arrow yields [''] for blank docs where str.split() yields []
+    if pc.any(pc.equal(trimmed, "")).as_py():
+        keep = pc.not_equal(flat, "")
+        flat, parents = flat.filter(keep), parents.filter(keep)
+    return flat, parents.to_numpy(zero_copy_only=False).astype(np.int64)
+
+
+def encode_strings(values, *, sort: bool = False
+                   ) -> tuple[np.ndarray, pa.Array]:
+    """Arrow ``dictionary_encode`` → (int64 code per value, distinct
+    values in first-appearance order). With ``sort`` only the distinct
+    values are sorted (bytewise, i.e. code-point order) and the codes
+    are ranks in them."""
+    enc = pc.dictionary_encode(values)
+    if isinstance(enc, pa.ChunkedArray):
+        enc = enc.combine_chunks()
+    codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    if not sort:
+        return codes, enc.dictionary
+    by_value = pc.array_sort_indices(enc.dictionary).to_numpy()
+    rank = np.empty(len(by_value), dtype=np.int64)
+    rank[by_value] = np.arange(len(by_value), dtype=np.int64)
+    return rank[codes], enc.dictionary.take(pa.array(by_value))
+
+
+def stem_dictionary(codes: np.ndarray, tokens, stemmer
+                    ) -> tuple[np.ndarray, pa.Array]:
+    """Token codes into a batch's distinct tokens (Python strs) → (stem
+    code of each token, sorted distinct stems as Arrow strings),
+    stemming each distinct token once. The stems never pass through a
+    NumPy unicode array, which would drop trailing NULs (``"ab\\x00"``
+    → ``"ab"``)."""
+    sid_of, stems = encode_strings(pa.array(list(map(stemmer, tokens)),
+                                            type=pa.string()), sort=True)
+    return sid_of[codes], stems
 
 
 class TokenizePartials:
@@ -109,24 +159,27 @@ class TokenizePartials:
             postings, doc_lens = self._tokenize_python(batch)
         if not self._emit_meta:
             return postings
-        doc_ids = batch["doc_id"].to_pylist()
-        contents = batch["content"].to_pylist()
-
         n_docs = batch.num_rows
         n_post = postings.num_rows
-        shas = [hashlib.sha256(c.encode("utf-8")).hexdigest()
-                for c in contents]
+        # sha256 straight from the UTF-8 bytes: no str per doc
+        contents = pc.cast(batch["content"], pa.large_binary()).to_numpy(
+            zero_copy_only=False)
+        shas = [hashlib.sha256(c).hexdigest() for c in contents]
         passthrough = [name for name in batch.column_names
                        if name not in self.CORE_COLUMNS]
+        one_each = pa.array(np.arange(n_docs + 1, dtype=np.int32))
         meta_cols = {
             "term": pa.array(shas, type=pa.string()),   # sha rides in term
-            "part": pa.array([-1] * n_docs, type=pa.int32()),
-            "bucket": pa.array([-1] * n_docs, type=pa.int32()),
-            "doc_ids": pa.array([[d] for d in doc_ids],
-                                type=pa.list_(pa.int64())),
-            "tfs": pa.array([[]] * n_docs, type=pa.list_(pa.int32())),
-            "dls": pa.array([[dl] for dl in doc_lens],
-                            type=pa.list_(pa.int32())),
+            "part": pa.array(np.full(n_docs, -1, dtype=np.int32)),
+            "bucket": pa.array(np.full(n_docs, -1, dtype=np.int32)),
+            "doc_ids": pa.ListArray.from_arrays(
+                one_each, pc.cast(batch["doc_id"], pa.int64()
+                                  ).combine_chunks()),
+            "tfs": pa.ListArray.from_arrays(
+                pa.array(np.zeros(n_docs + 1, dtype=np.int32)),
+                pa.array([], type=pa.int32())),
+            "dls": pa.ListArray.from_arrays(
+                one_each, pa.array(doc_lens, type=pa.int32())),
         }
         post_cols = {c: postings[c] for c in postings.column_names}
         for name in passthrough:
@@ -136,25 +189,20 @@ class TokenizePartials:
         return pa.concat_tables([pa.table(post_cols), pa.table(meta_cols)])
 
     def _tokenize_vectorized(self, batch: pa.Table):
-        """Default-breaker fast path: Arrow split → dictionary-encode →
-        stem only the batch's UNIQUE tokens → numpy run aggregation →
-        ListArray outputs. No per-token Python and no per-posting dict
-        churn (the r1 Counter loop was memory-bound: Python string/dict
-        traffic saturated this VM's bus at 28 actors)."""
+        """Default-breaker fast path, Arrow end to end except the stems:
+        Arrow split → ``dictionary_encode`` of the tokens → stem each
+        distinct token once (the dictionary comes out as Python strs
+        through ``to_numpy``) → :func:`stem_dictionary` encodes the stems
+        with Arrow and sorts only that dictionary → numpy run
+        aggregation → ListArray outputs, the ``term`` column a ``take``
+        from the stem dictionary. No per-token Python and no per-posting
+        dict churn (the r1 Counter loop was memory-bound: Python
+        string/dict traffic saturated this VM's bus at 28 actors)."""
         from ..state.postings import term_buckets
 
         n_docs = batch.num_rows
         doc_np = batch["doc_id"].to_numpy(zero_copy_only=False)
-        trimmed = pc.utf8_trim_whitespace(batch["content"])
-        toks = pc.utf8_split_whitespace(trimmed)
-        flat = pc.list_flatten(toks)
-        parents = pc.list_parent_indices(toks)
-        # Arrow yields [''] for blank docs where str.split() yields []
-        if pc.any(pc.equal(trimmed, "")).as_py():
-            keep = pc.not_equal(flat, "")
-            flat = flat.filter(keep)
-            parents = parents.filter(keep)
-        par = parents.to_numpy(zero_copy_only=False)
+        flat, par = split_whitespace(batch["content"])
         n_tok = np.bincount(par, minlength=n_docs).astype(np.int32)
         doc_lens = n_tok.tolist()
 
@@ -169,11 +217,8 @@ class TokenizePartials:
         if len(flat) == 0:
             return pa.table(empty_cols), doc_lens
 
-        enc = pc.dictionary_encode(flat)
-        if isinstance(enc, pa.ChunkedArray):
-            enc = enc.combine_chunks()
-        codes = enc.indices.to_numpy(zero_copy_only=False)
-        vocab = enc.dictionary.to_pylist()
+        codes, vocab = encode_strings(flat)
+        vocab = vocab.to_numpy(zero_copy_only=False)
         if self._stop is not None:
             # membership on the unique tokens only, then one mask gather
             stop_u = np.fromiter((t.lower() in self._stop for t in vocab),
@@ -186,12 +231,10 @@ class TokenizePartials:
                 doc_lens = n_tok.tolist()
                 if codes.size == 0:
                     return pa.table(empty_cols), doc_lens
-        stems_u = np.array(list(map(self._stem, vocab)))
-        stem_vocab, sid_inverse = np.unique(stems_u, return_inverse=True)
-        token_sid = sid_inverse[codes]
+        token_sid, stem_vocab = stem_dictionary(codes, vocab, self._stem)
 
         # tf per (stemmed term, doc): one vectorized unique over a fused key
-        key = token_sid.astype(np.int64) * n_docs + par
+        key = token_sid * n_docs + par
         uniq, tf = np.unique(key, return_counts=True)
         sid_e = uniq // n_docs
         docidx_e = uniq % n_docs
@@ -215,11 +258,11 @@ class TokenizePartials:
         offsets = pa.array(np.append(starts, n_e).astype(np.int32))
 
         run_sids = sid_e[starts]
-        run_terms = stem_vocab[run_sids].tolist()
-        bucket_vocab = term_buckets(stem_vocab.tolist(), self._num_buckets)
+        bucket_vocab = term_buckets(
+            stem_vocab.to_numpy(zero_copy_only=False), self._num_buckets)
 
         postings = pa.table({
-            "term": pa.array(run_terms, type=pa.string()),
+            "term": stem_vocab.take(pa.array(run_sids)),
             "part": pa.array(part_e[starts].astype(np.int32)),
             "bucket": pa.array(bucket_vocab[run_sids]),
             "doc_ids": pa.ListArray.from_arrays(
@@ -349,13 +392,8 @@ def merge_bucket_table(group: pa.Table, avgdl: float, k1: float,
     from ..state import postings as plib
 
     group = group.combine_chunks()
-    enc = group["term"].combine_chunks().dictionary_encode()
     # codes ranked by term, not by first appearance: (term, part) order
-    by_term = pc.array_sort_indices(enc.dictionary).to_numpy()
-    rank = np.empty(len(by_term), dtype=np.int64)
-    rank[by_term] = np.arange(len(by_term), dtype=np.int64)
-    vocab = enc.dictionary.take(pa.array(by_term))
-    codes = rank[enc.indices.to_numpy(zero_copy_only=False)]
+    codes, vocab = encode_strings(group["term"].combine_chunks(), sort=True)
     parts = group["part"].to_numpy(zero_copy_only=False).astype(np.int64)
 
     dcol = group["doc_ids"].combine_chunks()

@@ -32,7 +32,8 @@ import shutil
 import pyarrow.compute as pc
 
 from ..sources.corpus import _row_group_tasks, corpus_files
-from ..stages.tokenizer import DEFAULT_DOC_PART_BITS
+from ..stages.tokenizer import (DEFAULT_DOC_PART_BITS,
+                                DEFAULT_TOKENIZE_BATCH_SIZE)
 from .spill import LAYOUT, read_spill, spill_files
 
 
@@ -66,10 +67,12 @@ def _save_manifest(out_dir: str, manifest: dict) -> None:
 def build_partials(corpus_dir: str, out_dir: str, *, num_shards: int = 4,
                    doc_part_bits: int = DEFAULT_DOC_PART_BITS,
                    num_term_buckets: int = 32,
-                   tokenize_batch_size: int = 256,
+                   tokenize_batch_size: int = DEFAULT_TOKENIZE_BATCH_SIZE,
                    max_shards_this_run: int | None = None) -> dict:
     """Run (or resume) the tokenize pass shard by shard. Returns the
     manifest. ``max_shards_this_run`` lets tests simulate an interruption.
+    ``tokenize_batch_size`` is the tokenizer's slice length, as in
+    ``build_index``.
     """
     from ..pipelines.build import _tokenize_spill
     from ..sources.corpus import CorpusDatasource, read_corpus_source

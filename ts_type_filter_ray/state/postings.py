@@ -64,22 +64,38 @@ def encode_varints(values: np.ndarray | list[int]) -> bytes:
     ``_SMALL`` elements (hot terms)."""
     if len(values) < _SMALL:
         return _encode_varints_small(values)
-    v = np.asarray(values, dtype=np.uint64)
-    if v.size == 0:
-        return b""
-    # bytes per value = number of 7-bit groups
+    return _leb128(np.asarray(values, dtype=np.uint64))[0].tobytes()
+
+
+def _leb128(v: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """LEB128 bytes of a non-empty uint64 array, and the byte offset at
+    which each value starts — ``None`` when every value fits one byte
+    (the offsets are then the value indices, and the bytes are just
+    ``v.astype(uint8)``).
+
+    Work stops at the widest value present: ``more[k]`` marks the values
+    with a byte after byte ``k``, and byte ``k`` is written only for
+    those, straight into its place in the output."""
+    width = (int(v.max()).bit_length() + 6) // 7
+    if width <= 1:
+        return v.astype(np.uint8), None
+    more = [v >= np.uint64(1 << (7 * k)) for k in range(1, width)]
     nb = np.ones(v.size, dtype=np.int64)
-    for k in range(1, 10):
-        nb += (v >= np.uint64(1 << (7 * k))).astype(np.int64)
-    total = int(nb.sum())
+    for m in more:
+        nb += m
     ends = np.cumsum(nb)
     starts = ends - nb
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(starts, nb)
-    groups = (np.repeat(v, nb) >> (np.uint64(7) * offsets.astype(np.uint64))) \
-        & np.uint64(0x7F)
-    is_last = np.arange(total, dtype=np.int64) == np.repeat(ends - 1, nb)
-    out = (groups | np.where(is_last, np.uint64(0), np.uint64(0x80)))
-    return out.astype(np.uint8).tobytes()
+    buf = np.empty(int(ends[-1]), dtype=np.uint8)
+    buf[starts] = (v & np.uint64(0x7F)).astype(np.uint8) \
+        | (more[0].view(np.uint8) << np.uint8(7))
+    for k in range(1, width):
+        idx = np.flatnonzero(more[k - 1])
+        byte = ((v[idx] >> np.uint64(7 * k)) & np.uint64(0x7F)
+                ).astype(np.uint8)
+        if k < width - 1:
+            byte |= more[k][idx].view(np.uint8) << np.uint8(7)
+        buf[starts[idx] + k] = byte
+    return buf, starts
 
 
 def _decode_varints_small(buf: bytes) -> np.ndarray:
@@ -142,22 +158,12 @@ def encode_varints_sliced(values: np.ndarray, starts: np.ndarray):
     per run."""
     import pyarrow as pa
     v = np.asarray(values, dtype=np.uint64)
-    n = v.size
-    if n == 0:
+    if v.size == 0:
         return pa.array([], type=pa.large_binary())
-    nb = np.ones(n, dtype=np.int64)
-    for k in range(1, 10):
-        nb += (v >= np.uint64(1 << (7 * k))).astype(np.int64)
-    ends_b = np.cumsum(nb)
-    starts_b = ends_b - nb
-    total = int(ends_b[-1])
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(starts_b, nb)
-    groups = (np.repeat(v, nb) >> (np.uint64(7) * offsets.astype(np.uint64))) \
-        & np.uint64(0x7F)
-    is_last = np.arange(total, dtype=np.int64) == np.repeat(ends_b - 1, nb)
-    buf = (groups | np.where(is_last, np.uint64(0), np.uint64(0x80))
-           ).astype(np.uint8)
-    bounds = np.append(starts_b[np.asarray(starts, dtype=np.int64)], total)
+    starts = np.asarray(starts, dtype=np.int64)
+    buf, starts_b = _leb128(v)
+    bounds = np.append(starts if starts_b is None else starts_b[starts],
+                       buf.size)
     return pa.LargeBinaryArray.from_buffers(
         pa.large_binary(), len(bounds) - 1,
         [None, pa.py_buffer(bounds), pa.py_buffer(buf)])
